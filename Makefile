@@ -17,7 +17,7 @@ GO ?= go
 # engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).
 RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo
 
-.PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos metrics-smoke fleet trace-smoke load-smoke
+.PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos fuzz metrics-smoke fleet trace-smoke load-smoke
 
 # verify is the extended tier-1 gate (see ROADMAP.md): build + tests,
 # static checks, and the race suite over the concurrent packages.
@@ -42,6 +42,17 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
+
+# fuzz runs each native fuzz target briefly: the fixed-width base58
+# paths against the generic reference, and the explorer wire codec's
+# decoders against encoding/json (accept/reject, decoded values, fault
+# class). Seed corpora are encoder output of generated records plus
+# ChaosHandler-style truncations and byte flips.
+fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeDetailRequest$$' -fuzztime=10s -parallel=2 ./internal/explorer
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeDetailResponse$$' -fuzztime=10s -parallel=2 ./internal/explorer
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

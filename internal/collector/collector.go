@@ -84,8 +84,11 @@ type Collector struct {
 	// prevPage holds the ids returned by the previous successful poll,
 	// for the paper's §3.1 completeness check: "we determine if there is
 	// any overlap for the bundles returned in successive calls; if any
-	// bundles appear in both, we know we have not missed any."
-	prevPage map[jito.BundleID]struct{}
+	// bundles appear in both, we know we have not missed any." hasPrev
+	// says whether it is live. curPage is the set the next poll fills;
+	// the two swap every poll, so polling allocates no fresh set.
+	prevPage, curPage map[jito.BundleID]struct{}
+	hasPrev           bool
 
 	reg *obs.Registry
 
@@ -284,17 +287,21 @@ func (c *Collector) poll(tr *obs.Trace) error {
 	}
 	c.polls.Inc()
 
-	cur := make(map[jito.BundleID]struct{}, len(page))
+	if c.curPage == nil {
+		c.curPage = make(map[jito.BundleID]struct{}, len(page))
+	}
+	cur := c.curPage
+	clear(cur)
+	hadPrev := c.hasPrev
 	overlap := false
 	for i := range page {
 		cur[page[i].ID] = struct{}{}
-		if c.prevPage != nil {
+		if hadPrev {
 			if _, ok := c.prevPage[page[i].ID]; ok {
 				overlap = true
 			}
 		}
 	}
-	hadPrev := c.prevPage != nil
 	if hadPrev {
 		c.pairs.Inc()
 		if overlap {
@@ -302,7 +309,8 @@ func (c *Collector) poll(tr *obs.Trace) error {
 		}
 	}
 	c.overlapRatio.Set(c.OverlapRate())
-	c.prevPage = cur
+	c.prevPage, c.curPage = cur, c.prevPage
+	c.hasPrev = true
 
 	// A broken pair means bundles scrolled past between polls; with
 	// backfill enabled, page backwards through the cursor until the gap
@@ -375,7 +383,7 @@ func (c *Collector) backfill(tr *obs.Trace, cursor uint64) {
 // ResetOverlapChain forgets the previous page, so the next poll does not
 // count toward the overlap statistic. Called when collection resumes after
 // an outage: a gap pair says nothing about steady-state coverage.
-func (c *Collector) ResetOverlapChain() { c.prevPage = nil }
+func (c *Collector) ResetOverlapChain() { c.hasPrev = false }
 
 // ErrDetailShortfall marks a FetchDetails return where some batches
 // failed after retries: the fetched count is partial, the failed ids are

@@ -64,8 +64,8 @@ func (d *Dataset) snapshotView() *snapshot.Snapshot {
 	}
 }
 
-// Save writes the dataset to w in the v2 snapshot format using every
-// core. The dedup window is not persisted; a loaded dataset resumes
+// Save writes the dataset to w in the v3 snapshot format (see
+// snapshot.Write) using every core. The dedup window is not persisted; a loaded dataset resumes
 // collection with a fresh window, which can at worst re-ingest a page
 // boundary's worth of duplicates (and they will be dropped by the
 // record-level dedup on analysis keys).

@@ -146,6 +146,50 @@ func TestHTTPBoundedBody(t *testing.T) {
 	}
 }
 
+// TestHTTPResponseBytesCounted: collector_http_response_bytes_total
+// counts the body bytes read — the whole body on a clean response
+// (trailing bytes after the JSON value included, however a decoder
+// would have chunked its reads), the capped length on an oversized one.
+func TestHTTPResponseBytesCounted(t *testing.T) {
+	recent := explorer.AppendRecent(nil, explorer.RecentResponse{Bundles: seededStore(40, 3).Recent(40)})
+	recent = append(recent, bytes.Repeat([]byte(" "), 8<<10)...)
+	details := explorer.AppendDetailResponse(nil, explorer.DetailResponse{Transactions: fakeAccepted(1, 3, 1, 1_000).Details})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/transactions" {
+			w.Write(details)
+			return
+		}
+		w.Write(recent)
+	}))
+	defer srv.Close()
+	counted := func(tr *HTTP, endpoint string) uint64 { return tr.obsFor(endpoint).bytes.Value() }
+
+	tr := NewHTTP(srv.URL)
+	if page, err := tr.RecentBundles(40); err != nil || len(page) != 40 {
+		t.Fatalf("clean page: %v (%d)", err, len(page))
+	}
+	if _, err := tr.TxDetails(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(tr, "recent"); got != uint64(len(recent)) {
+		t.Errorf("recent counted %d bytes, body is %d", got, len(recent))
+	}
+	if got := counted(tr, "details"); got != uint64(len(details)) {
+		t.Errorf("details counted %d bytes, body is %d", got, len(details))
+	}
+
+	capped := NewHTTP(srv.URL)
+	capped.MaxRetries = 0
+	capped.MaxBody = int64(len(recent) / 3)
+	_, err := capped.RecentBundles(40)
+	if got := faults.Classify(err); got != faults.ClassTruncate {
+		t.Fatalf("capped body: class %v (%v)", got, err)
+	}
+	if got := counted(capped, "recent"); got != uint64(capped.MaxBody) {
+		t.Errorf("capped body counted %d bytes, cap is %d", got, capped.MaxBody)
+	}
+}
+
 func TestHTTPContextCancellation(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusInternalServerError)

@@ -3,7 +3,6 @@ package collector
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -483,8 +482,8 @@ func (h *HTTP) recent(url string) ([]jito.BundleRecord, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var body explorer.RecentResponse
-	if err := h.decodeBounded("recent", resp.Body, &body); err != nil {
+	body, err := readBounded(h, "recent", resp.Body, explorer.ReadRecent)
+	if err != nil {
 		return nil, fmt.Errorf("collector: decoding recent bundles: %w", err)
 	}
 	return body.Bundles, nil
@@ -492,10 +491,10 @@ func (h *HTTP) recent(url string) ([]jito.BundleRecord, error) {
 
 // TxDetails implements Transport.
 func (h *HTTP) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
-	payload, err := json.Marshal(explorer.DetailRequest{IDs: ids})
-	if err != nil {
-		return nil, err
-	}
+	// One allocation, sized for the longest signatures. The payload is
+	// not pooled: the HTTP transport may still be reading a request body
+	// after Do returns.
+	payload := explorer.AppendDetailRequest(make([]byte, 0, 16+len(ids)*(base58SigMax+3)), explorer.DetailRequest{IDs: ids})
 	url := h.BaseURL + "/api/v1/transactions"
 	resp, err := h.do("details", func(ctx context.Context, traceparent string) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
@@ -512,41 +511,30 @@ func (h *HTTP) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var body explorer.DetailResponse
-	if err := h.decodeBounded("details", resp.Body, &body); err != nil {
+	body, err := readBounded(h, "details", resp.Body, explorer.ReadDetailResponse)
+	if err != nil {
 		return nil, fmt.Errorf("collector: decoding tx details: %w", err)
 	}
 	return body.Transactions, nil
 }
 
-// decodeBounded decodes a JSON body read through an io.LimitReader, so a
-// hostile or damaged payload is capped at MaxBody bytes. A body cut by
-// the cap (or by the wire) classifies as truncation; syntactically
-// invalid bytes classify as corruption. Bytes actually read land on the
-// endpoint's collector_http_response_bytes_total counter.
-func (h *HTTP) decodeBounded(endpoint string, body io.Reader, v any) error {
-	cr := &countingReader{r: io.LimitReader(body, h.maxBody())}
-	defer func() { h.obsFor(endpoint).bytes.Add(cr.n) }()
-	if err := json.NewDecoder(cr).Decode(v); err != nil {
-		class := faults.ClassCorrupt
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			class = faults.ClassTruncate
-		}
-		return &faults.Error{Class: class, Err: err}
+// base58SigMax is the longest base58 form of a 64-byte signature.
+const base58SigMax = 88
+
+// readBounded reads a JSON body whole through an io.LimitReader, so a
+// hostile or damaged payload is capped at MaxBody bytes, and decodes it
+// with the explorer's wire codec (encoding/json's verdict on anything
+// non-canonical). A body cut by the cap (or by the wire) classifies as
+// truncation; syntactically invalid bytes classify as corruption. The
+// body bytes read land on the endpoint's
+// collector_http_response_bytes_total counter.
+func readBounded[T any](h *HTTP, endpoint string, body io.Reader, read func(io.Reader) (T, int, error)) (T, error) {
+	v, n, err := read(io.LimitReader(body, h.maxBody()))
+	h.obsFor(endpoint).bytes.Add(uint64(n))
+	if err != nil {
+		return v, &faults.Error{Class: faults.DecodeClass(err), Err: err}
 	}
-	return nil
-}
-
-// countingReader counts bytes delivered by the wrapped reader.
-type countingReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += uint64(n)
-	return n, err
+	return v, nil
 }
 
 // breaker is a per-endpoint circuit breaker: closed → open after

@@ -1,7 +1,6 @@
 package explorer
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"strconv"
@@ -249,9 +248,10 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	q := r.URL.Query()
 	limit := 200 // the endpoint's original default, pre-widening
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			http.Error(w, "bad limit", http.StatusBadRequest)
 			return
@@ -259,8 +259,8 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	var before uint64
-	if q := r.URL.Query().Get("before"); q != "" {
-		n, err := strconv.ParseUint(q, 10, 64)
+	if v := q.Get("before"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			http.Error(w, "bad before cursor", http.StatusBadRequest)
 			return
@@ -276,10 +276,10 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, RecentResponse{Bundles: page})
+		writeWire(w, RecentResponse{Bundles: page}, AppendRecent)
 		return
 	}
-	writeJSON(w, RecentResponse{Bundles: s.store.Recent(limit)})
+	writeWire(w, RecentResponse{Bundles: s.store.Recent(limit)}, AppendRecent)
 }
 
 func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
@@ -287,8 +287,8 @@ func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req DetailRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&req); err != nil {
+	req, _, err := ReadDetailRequest(http.MaxBytesReader(w, r.Body, 32<<20))
+	if err != nil {
 		http.Error(w, "bad request body", http.StatusBadRequest)
 		return
 	}
@@ -296,13 +296,5 @@ func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "too many ids", http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, DetailResponse{Transactions: s.store.TxDetails(req.IDs)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Connection-level failure; nothing useful left to do.
-		return
-	}
+	writeWire(w, DetailResponse{Transactions: s.store.TxDetails(req.IDs)}, AppendDetailResponse)
 }

@@ -206,6 +206,16 @@ func Classify(err error) Class {
 	return ClassTransport
 }
 
+// DecodeClass classifies a failed response-body decode: a body cut short
+// (by the wire or by a size cap) is truncation, anything else that fails
+// to decode is corruption.
+func DecodeClass(err error) Class {
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		return ClassTruncate
+	}
+	return ClassCorrupt
+}
+
 // Stats counts faults per class. Not synchronized: each consumer owns its
 // own Stats (the Injector keeps its own atomic tally and snapshots it).
 type Stats [NumClasses]uint64

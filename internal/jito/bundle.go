@@ -57,11 +57,25 @@ func (id BundleID) String() string { return hex.EncodeToString(id[:]) }
 // Short returns an abbreviated form for logs.
 func (id BundleID) Short() string { return hex.EncodeToString(id[:4]) }
 
-// MarshalJSON encodes the id as a hex JSON string.
-func (id BundleID) MarshalJSON() ([]byte, error) { return json.Marshal(id.String()) }
+// MarshalJSON encodes the id as a hex JSON string, in one allocation.
+func (id BundleID) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 2+2*len(id))
+	b = append(b, '"')
+	b = hex.AppendEncode(b, id[:])
+	return append(b, '"'), nil
+}
 
-// UnmarshalJSON decodes a hex JSON string.
+// UnmarshalJSON decodes a hex JSON string. A plain 64-digit literal
+// decodes in place; anything else takes the json.Unmarshal route, so
+// its errors are those of the generic path.
 func (id *BundleID) UnmarshalJSON(b []byte) error {
+	if len(b) == 2+2*len(id) && b[0] == '"' && b[len(b)-1] == '"' {
+		var raw BundleID
+		if _, err := hex.Decode(raw[:], b[1:len(b)-1]); err == nil {
+			*id = raw
+			return nil
+		}
+	}
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err

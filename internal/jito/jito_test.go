@@ -1,8 +1,11 @@
 package jito
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,5 +428,48 @@ func TestTxDetailEqual(t *testing.T) {
 	mod2.TipOnly = true
 	if base.Equal(&mod2) {
 		t.Error("flag change compares equal")
+	}
+}
+
+// TestBundleIDJSONMatchesUnmarshal pins the direct hex JSON forms to the
+// json.Marshal/json.Unmarshal route they replace.
+func TestBundleIDJSONMatchesUnmarshal(t *testing.T) {
+	var id BundleID
+	for i := range id {
+		id[i] = byte(i * 7)
+	}
+	want, _ := json.Marshal(id.String())
+	if got, _ := id.MarshalJSON(); string(got) != string(want) {
+		t.Fatalf("MarshalJSON = %s, want %s", got, want)
+	}
+	upper := `"` + strings.ToUpper(id.String()) + `"`
+	for _, in := range []string{string(want), upper, `"0` + id.String()[1:] + `"`, `null`, `""`,
+		`"` + id.String()[2:] + `"`, `"zz` + id.String()[2:] + `"`, `7`} {
+		var got, ref BundleID
+		errGot := got.UnmarshalJSON([]byte(in))
+		errRef := func() error {
+			var s string
+			if err := json.Unmarshal([]byte(in), &s); err != nil {
+				return err
+			}
+			raw, err := hex.DecodeString(s)
+			if err != nil {
+				return fmt.Errorf("bundle id: %w", err)
+			}
+			if len(raw) != 32 {
+				return fmt.Errorf("bundle id: %d bytes, want 32", len(raw))
+			}
+			copy(ref[:], raw)
+			return nil
+		}()
+		if fmt.Sprint(errGot) != fmt.Sprint(errRef) || got != ref {
+			t.Errorf("%s: got (%s, %v), want (%s, %v)", in, got.Short(), errGot, ref.Short(), errRef)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { id.MarshalJSON() }); n != 1 {
+		t.Errorf("MarshalJSON allocated %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { id.UnmarshalJSON(want) }); n != 0 {
+		t.Errorf("UnmarshalJSON allocated %.0f times on a plain literal", n)
 	}
 }

@@ -46,10 +46,17 @@ func (p Pubkey) Short() string {
 func (p Pubkey) IsZero() bool { return p == Pubkey{} }
 
 // MarshalJSON encodes the key as a base58 JSON string.
-func (p Pubkey) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
+func (p Pubkey) MarshalJSON() ([]byte, error) { return p.AppendJSON(make([]byte, 0, 46)), nil }
+
+// AppendJSON appends the key's JSON string form to dst. Base58 digits
+// need no escaping, so the bytes equal json.Marshal of String().
+func (p Pubkey) AppendJSON(dst []byte) []byte { return appendQuoted58(dst, p[:]) }
 
 // UnmarshalJSON decodes a base58 JSON string.
 func (p *Pubkey) UnmarshalJSON(b []byte) error {
+	if decodeQuoted58(p[:], b) {
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
@@ -82,10 +89,17 @@ func (s Signature) Short() string {
 func (s Signature) IsZero() bool { return s == Signature{} }
 
 // MarshalJSON encodes the signature as a base58 JSON string.
-func (s Signature) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
+func (s Signature) MarshalJSON() ([]byte, error) { return s.AppendJSON(make([]byte, 0, 90)), nil }
+
+// AppendJSON appends the signature's JSON string form to dst (see
+// Pubkey.AppendJSON).
+func (s Signature) AppendJSON(dst []byte) []byte { return appendQuoted58(dst, s[:]) }
 
 // UnmarshalJSON decodes a base58 JSON string.
 func (s *Signature) UnmarshalJSON(b []byte) error {
+	if decodeQuoted58(s[:], b) {
+		return nil
+	}
 	var str string
 	if err := json.Unmarshal(b, &str); err != nil {
 		return err
@@ -104,6 +118,24 @@ func SignatureFromBase58(str string) (Signature, error) {
 
 // String returns the base58 form of the hash.
 func (h Hash) String() string { return base58.Encode(h[:]) }
+
+func appendQuoted58(dst, raw []byte) []byte {
+	dst = append(dst, '"')
+	dst = base58.AppendEncode(dst, raw)
+	return append(dst, '"')
+}
+
+// decodeQuoted58 decodes a quoted base58 literal straight into dst and
+// reports success. Success implies every byte between the quotes is a
+// base58 digit, which json.Unmarshal would have passed through as is;
+// anything else (escapes, null, a bad digit, a wrong width) reports false
+// so the caller takes the json.Unmarshal route and its errors.
+func decodeQuoted58(dst, b []byte) bool {
+	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
+		return false
+	}
+	return base58.DecodeBytesInto(dst, b[1:len(b)-1]) == nil
+}
 
 // Keypair is a deterministic signing identity. The public key is derived
 // from the secret by hashing, and signatures are keyed hashes over message

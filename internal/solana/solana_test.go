@@ -3,10 +3,13 @@ package solana
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"jitomev/internal/base58"
 )
 
 func TestKeypairDeterminism(t *testing.T) {
@@ -333,4 +336,65 @@ func BenchmarkTransactionBinaryRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestJSONFastPathMatchesUnmarshal pins the direct base58 JSON forms to
+// the json.Marshal/json.Unmarshal route they replace: identical bytes
+// out, identical values and error text in, for plain, escaped, null and
+// malformed literals.
+func TestJSONFastPathMatchesUnmarshal(t *testing.T) {
+	kp := NewKeypairFromSeed("json")
+	sig := kp.Sign([]byte("m"))
+	pub := kp.Pubkey()
+	if got, _ := pub.MarshalJSON(); string(got) != mustMarshal(t, pub.String()) {
+		t.Fatalf("Pubkey.MarshalJSON = %s", got)
+	}
+	if got, _ := sig.MarshalJSON(); string(got) != mustMarshal(t, sig.String()) {
+		t.Fatalf("Signature.MarshalJSON = %s", got)
+	}
+	escaped := `"\u00` + fmt.Sprintf("%x", sig.String()[0]) + sig.String()[1:] + `"`
+	inputs := []string{
+		mustMarshal(t, sig.String()), mustMarshal(t, pub.String()), escaped, `null`, `""`,
+		`"0OIl"`, `"` + sig.String() + `1"`, `"` + pub.String()[1:] + `"`, `"` + sig.String(), `12`,
+	}
+	for _, in := range inputs {
+		var gotSig, refSig Signature
+		errGot := gotSig.UnmarshalJSON([]byte(in))
+		errRef := refUnmarshal58(refSig[:], []byte(in))
+		if fmt.Sprint(errGot) != fmt.Sprint(errRef) || gotSig != refSig {
+			t.Errorf("Signature %s: got (%v, %v), want (%v, %v)", in, gotSig.Short(), errGot, refSig.Short(), errRef)
+		}
+		var gotPub, refPub Pubkey
+		errGot = gotPub.UnmarshalJSON([]byte(in))
+		errRef = refUnmarshal58(refPub[:], []byte(in))
+		if fmt.Sprint(errGot) != fmt.Sprint(errRef) || gotPub != refPub {
+			t.Errorf("Pubkey %s: got (%v, %v), want (%v, %v)", in, gotPub.Short(), errGot, refPub.Short(), errRef)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { sig.MarshalJSON() }); n != 1 {
+		t.Errorf("Signature.MarshalJSON allocated %.0f times, want 1", n)
+	}
+	plain := []byte(mustMarshal(t, sig.String()))
+	if n := testing.AllocsPerRun(50, func() { sig.UnmarshalJSON(plain) }); n != 0 {
+		t.Errorf("Signature.UnmarshalJSON allocated %.0f times on a plain literal", n)
+	}
+}
+
+func mustMarshal(t *testing.T, s string) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// refUnmarshal58 is the generic route: json.Unmarshal to a string, then
+// base58.DecodeInto.
+func refUnmarshal58(dst, b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	return base58.DecodeInto(dst, s)
 }
