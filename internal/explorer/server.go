@@ -267,19 +267,37 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		}
 		before = n
 	}
-	if before > 0 {
-		page, err := s.store.RecentBefore(before, limit)
-		if err != nil {
-			// ErrInvalidCursor is a client bug (or a fenced-off stale
-			// replica), not server trouble: a non-retryable 4xx, with the
-			// reason in the body so the caller can tell it from "bad limit".
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	pp := pagePool.Get().(*[]jito.BundleRecord)
+	page, err := s.store.AppendPage((*pp)[:0], before, limit)
+	if err != nil {
+		// ErrInvalidCursor is a client bug (or a fenced-off stale
+		// replica), not server trouble: a non-retryable 4xx, with the
+		// reason in the body so the caller can tell it from "bad limit".
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	} else {
 		writeWire(w, RecentResponse{Bundles: page}, AppendRecent)
+	}
+	putPage(pp, page)
+}
+
+// maxPooledPage caps the page slices kept for reuse, in records: a
+// default 200-record page fits, a widened page is left to the collector
+// (compare maxPooledScratch).
+const maxPooledPage = 1024
+
+// pagePool holds the slices handleRecent copies pages into. They start
+// empty but non-nil, so an empty store still encodes as [] and not null.
+var pagePool = sync.Pool{New: func() any { return &[]jito.BundleRecord{} }}
+
+// putPage returns page's storage to the pool unless it outgrew the cap,
+// first dropping its references into the store's records.
+func putPage(pp *[]jito.BundleRecord, page []jito.BundleRecord) {
+	if cap(page) > maxPooledPage {
 		return
 	}
-	writeWire(w, RecentResponse{Bundles: s.store.Recent(limit)}, AppendRecent)
+	clear(page)
+	*pp = page[:0]
+	pagePool.Put(pp)
 }
 
 func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {

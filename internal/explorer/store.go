@@ -14,8 +14,10 @@
 package explorer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"jitomev/internal/jito"
@@ -99,20 +101,8 @@ func (s *Store) Recent(limit int) []jito.BundleRecord {
 	if limit <= 0 {
 		return nil
 	}
-	if limit > MaxPageLimit {
-		limit = MaxPageLimit
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.records)
-	if limit > n {
-		limit = n
-	}
-	out := make([]jito.BundleRecord, limit)
-	for i := 0; i < limit; i++ {
-		out[i] = s.records[n-1-i]
-	}
-	return out
+	page, _ := s.AppendPage([]jito.BundleRecord{}, 0, limit)
+	return page
 }
 
 // HighWater returns the highest acceptance sequence the store holds
@@ -142,6 +132,20 @@ func (s *Store) RecentBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, 
 	if limit <= 0 {
 		return nil, nil
 	}
+	page, err := s.AppendPage([]jito.BundleRecord{}, beforeSeq, limit)
+	if err != nil {
+		return nil, err
+	}
+	return page, nil
+}
+
+// AppendPage appends the page RecentBefore(beforeSeq, limit) returns to
+// dst, growing it at most once. It appends nothing for limit <= 0, and
+// on ErrInvalidCursor returns dst unchanged.
+func (s *Store) AppendPage(dst []jito.BundleRecord, beforeSeq uint64, limit int) ([]jito.BundleRecord, error) {
+	if limit <= 0 {
+		return dst, nil
+	}
 	if limit > MaxPageLimit {
 		limit = MaxPageLimit
 	}
@@ -152,31 +156,22 @@ func (s *Store) RecentBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, 
 		if n > 0 {
 			hw = s.records[n-1].Seq
 		}
-		return nil, fmt.Errorf("%w: before=%d, high-water %d", ErrInvalidCursor, beforeSeq, hw)
+		return dst, fmt.Errorf("%w: before=%d, high-water %d", ErrInvalidCursor, beforeSeq, hw)
 	}
 	// Seq is assigned in acceptance order, so records are sorted by Seq;
 	// binary search the upper bound.
 	hi := len(s.records)
 	if beforeSeq > 0 {
-		lo := 0
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.records[mid].Seq < beforeSeq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		hi = lo
+		hi, _ = slices.BinarySearchFunc(s.records, beforeSeq, func(r jito.BundleRecord, seq uint64) int {
+			return cmp.Compare(r.Seq, seq)
+		})
 	}
-	if limit > hi {
-		limit = hi
+	limit = min(limit, hi)
+	dst = slices.Grow(dst, limit)
+	for i := 1; i <= limit; i++ {
+		dst = append(dst, s.records[hi-i])
 	}
-	out := make([]jito.BundleRecord, limit)
-	for i := 0; i < limit; i++ {
-		out[i] = s.records[hi-1-i]
-	}
-	return out, nil
+	return dst, nil
 }
 
 // TxDetails returns details for the requested transaction ids. Unknown ids

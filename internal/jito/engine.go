@@ -1,7 +1,8 @@
 package jito
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"jitomev/internal/ledger"
 	"jitomev/internal/solana"
@@ -113,8 +114,8 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 	}
 	e.bank.SetSlot(slot)
 
-	sort.SliceStable(e.pending, func(i, j int) bool {
-		return e.pending[i].bundle.Tip() > e.pending[j].bundle.Tip()
+	slices.SortStableFunc(e.pending, func(a, b pendingBundle) int {
+		return cmp.Compare(b.bundle.Tip(), a.bundle.Tip())
 	})
 	batch := e.pending
 	if e.MaxBundlesPerSlot > 0 && len(batch) > e.MaxBundlesPerSlot {

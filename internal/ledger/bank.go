@@ -75,9 +75,12 @@ type TxResult struct {
 	Swaps         []SwapEffect
 }
 
-// Bank is the single-threaded account state machine. Callers that need
-// concurrency wrap it; block production is inherently sequential per slot,
-// so the hot path stays lock-free.
+// Bank is the single-threaded account state machine: a Bank must only be
+// used from one goroutine at a time. Callers that need concurrency wrap
+// it; block production is inherently sequential per slot, so the hot path
+// stays lock-free. The bank recycles its per-transaction scratch (undo
+// journals and delta trackers), so steady-state execution allocates only
+// the results it returns.
 type Bank struct {
 	slot     solana.Slot
 	lamports map[solana.Pubkey]solana.Lamports
@@ -89,6 +92,10 @@ type Bank struct {
 
 	// delta tracker, non-nil while a transaction is executing
 	tracker *tracker
+
+	// free lists of closed journals and finished trackers, for reuse
+	freeJournals []*journal
+	freeTrackers []*tracker
 
 	// running totals
 	FeesCollected solana.Lamports
@@ -191,7 +198,15 @@ type journal struct {
 // Checkpoint opens a nested undo scope. Every Checkpoint must be paired
 // with exactly one Commit or Rollback.
 func (b *Bank) Checkpoint() {
-	b.journal = &journal{parent: b.journal}
+	var j *journal
+	if n := len(b.freeJournals); n > 0 {
+		j = b.freeJournals[n-1]
+		b.freeJournals = b.freeJournals[:n-1]
+	} else {
+		j = new(journal)
+	}
+	j.parent = b.journal
+	b.journal = j
 }
 
 // Commit merges the current scope into its parent (or discards the undo
@@ -206,7 +221,7 @@ func (b *Bank) Commit() {
 		p.tokens = append(p.tokens, j.tokens...)
 		p.pools = append(p.pools, j.pools...)
 	}
-	b.journal = j.parent
+	b.closeJournal(j)
 }
 
 // Rollback undoes every write made since the matching Checkpoint.
@@ -227,7 +242,14 @@ func (b *Bank) Rollback() {
 			p.ReserveB = j.pools[i].oldB
 		}
 	}
+	b.closeJournal(j)
+}
+
+// closeJournal pops j, the innermost scope, and keeps it for reuse.
+func (b *Bank) closeJournal(j *journal) {
 	b.journal = j.parent
+	*j = journal{lamports: j.lamports[:0], tokens: j.tokens[:0], pools: j.pools[:0]}
+	b.freeJournals = append(b.freeJournals, j)
 }
 
 func (b *Bank) setLamports(k solana.Pubkey, v solana.Lamports) {

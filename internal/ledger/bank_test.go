@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"jitomev/internal/amm"
@@ -356,6 +357,64 @@ func TestDuplicateNonceDistinctSig(t *testing.T) {
 	tx2 := solana.NewTransaction(f.alice, 7, 0, &solana.Memo{Data: []byte("b")})
 	if tx1.Sig == tx2.Sig {
 		t.Error("different payloads same nonce produced identical sigs")
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestRecycledScratchKeepsResults executes transactions back to back so
+// each reuses the previous one's tracker and journals, and checks that
+// no earlier result sees a later transaction's effects.
+func TestRecycledScratchKeepsResults(t *testing.T) {
+	f := newFixture(t)
+	a := solana.NewTransaction(f.alice, 1, 0,
+		&solana.Swap{Pool: f.pool.Address, InputMint: token.SOL.Address, AmountIn: 1_000_000})
+	b := solana.NewTransaction(f.bob, 2, 0,
+		&solana.Swap{Pool: f.pool.Address, InputMint: f.meme.Address, AmountIn: 2_000_000},
+		&solana.Swap{Pool: f.pool.Address, InputMint: token.SOL.Address, AmountIn: 3_000_000})
+	ra, err := f.bank.ExecuteTx(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapsA := append([]SwapEffect(nil), ra.Swaps...)
+	deltasA := append([]TokenDelta(nil), ra.TokenDeltas...)
+	rb, err := f.bank.ExecuteBundle([]*solana.Transaction{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ra.Swaps, swapsA) || !reflect.DeepEqual(ra.TokenDeltas, deltasA) {
+		t.Error("a later transaction rewrote an earlier result")
+	}
+	if len(rb[0].Swaps) != 2 || rb[0].Signer != f.bob.Pubkey() {
+		t.Errorf("second result = %+v", rb[0])
+	}
+	for _, d := range rb[0].TokenDeltas {
+		if d.Owner != f.bob.Pubkey() {
+			t.Errorf("second result carries a delta for %s", d.Owner.Short())
+		}
+	}
+}
+
+// TestExecuteTxAllocatesOnlyResults pins steady-state execution of a
+// one-swap transaction to its result: the TxResult and its lamport,
+// token and swap slices.
+func TestExecuteTxAllocatesOnlyResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	f := newFixture(t)
+	f.bank.CreditLamports(f.alice.Pubkey(), 1<<50)
+	f.bank.MintTo(f.alice.Pubkey(), token.SOL.Address, 1<<55)
+	tx := solana.NewTransaction(f.alice, 1, 0,
+		&solana.Swap{Pool: f.pool.Address, InputMint: token.SOL.Address, AmountIn: 1_000})
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := f.bank.ExecuteTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 4 {
+		t.Errorf("ExecuteTx allocates %v times per one-swap tx, want <= 4", n)
 	}
 }
 

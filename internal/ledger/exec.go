@@ -8,44 +8,66 @@ import (
 
 // tracker records pre-images of every balance a transaction touches so the
 // TxResult can report net deltas, mirroring Solana's pre/postTokenBalances.
+// A transaction touches a handful of balances, so the pre-images live in
+// short slices searched linearly; keys are unique within each.
 type tracker struct {
-	preLamports map[solana.Pubkey]solana.Lamports
-	preTokens   map[TokenKey]uint64
+	preLamports []lamportUndo
+	preTokens   []tokenUndo
 	swaps       []SwapEffect
 }
 
-func newTracker() *tracker {
-	return &tracker{
-		preLamports: make(map[solana.Pubkey]solana.Lamports, 4),
-		preTokens:   make(map[TokenKey]uint64, 4),
+// openTracker starts tracking a transaction, reusing a finished tracker
+// when one is free. swaps starts nil: the previous result kept its slice.
+func (b *Bank) openTracker() *tracker {
+	n := len(b.freeTrackers)
+	if n == 0 {
+		return new(tracker)
 	}
+	t := b.freeTrackers[n-1]
+	b.freeTrackers = b.freeTrackers[:n-1]
+	t.preLamports = t.preLamports[:0]
+	t.preTokens = t.preTokens[:0]
+	t.swaps = nil
+	return t
 }
 
 func (t *tracker) touchLamports(b *Bank, k solana.Pubkey) {
-	if _, seen := t.preLamports[k]; !seen {
-		t.preLamports[k] = b.lamports[k]
+	for i := range t.preLamports {
+		if t.preLamports[i].key == k {
+			return
+		}
 	}
+	t.preLamports = append(t.preLamports, lamportUndo{k, b.lamports[k]})
 }
 
 func (t *tracker) touchToken(b *Bank, k TokenKey) {
-	if _, seen := t.preTokens[k]; !seen {
-		t.preTokens[k] = b.tokens[k]
+	for i := range t.preTokens {
+		if t.preTokens[i].key == k {
+			return
+		}
 	}
+	t.preTokens = append(t.preTokens, tokenUndo{k, b.tokens[k]})
 }
 
 // finish computes net deltas against the tracked pre-images. Ordering is
 // deterministic: sorted by account/owner then mint.
 func (t *tracker) finish(b *Bank, res *TxResult) {
-	for k, pre := range t.preLamports {
-		d := int64(b.lamports[k]) - int64(pre)
+	for _, p := range t.preLamports {
+		d := int64(b.lamports[p.key]) - int64(p.old)
 		if d != 0 {
-			res.LamportDeltas = append(res.LamportDeltas, LamportDelta{Account: k, Delta: d})
+			if res.LamportDeltas == nil {
+				res.LamportDeltas = make([]LamportDelta, 0, len(t.preLamports))
+			}
+			res.LamportDeltas = append(res.LamportDeltas, LamportDelta{Account: p.key, Delta: d})
 		}
 	}
-	for k, pre := range t.preTokens {
-		d := int64(b.tokens[k]) - int64(pre)
+	for _, p := range t.preTokens {
+		d := int64(b.tokens[p.key]) - int64(p.old)
 		if d != 0 {
-			res.TokenDeltas = append(res.TokenDeltas, TokenDelta{Owner: k.Owner, Mint: k.Mint, Delta: d})
+			if res.TokenDeltas == nil {
+				res.TokenDeltas = make([]TokenDelta, 0, len(t.preTokens))
+			}
+			res.TokenDeltas = append(res.TokenDeltas, TokenDelta{Owner: p.key.Owner, Mint: p.key.Mint, Delta: d})
 		}
 	}
 	sortLamportDeltas(res.LamportDeltas)
@@ -104,9 +126,12 @@ func (b *Bank) ExecuteTx(tx *solana.Transaction) (*TxResult, error) {
 
 	res := &TxResult{Sig: tx.Sig, Signer: tx.Signer, Fee: fee, TipOnly: tx.IsTipOnly()}
 
-	prevTracker := b.tracker
-	b.tracker = newTracker()
-	defer func() { b.tracker = prevTracker }()
+	prevTracker, t := b.tracker, b.openTracker()
+	b.tracker = t
+	defer func() {
+		b.tracker = prevTracker
+		b.freeTrackers = append(b.freeTrackers, t)
+	}()
 
 	// Charge the fee first; it survives instruction failure.
 	b.setLamports(tx.Signer, b.lamports[tx.Signer]-fee)
@@ -129,7 +154,7 @@ func (b *Bank) ExecuteTx(tx *solana.Transaction) (*TxResult, error) {
 	}
 	b.TxCount++
 
-	b.tracker.finish(b, res)
+	t.finish(b, res)
 	return res, nil
 }
 

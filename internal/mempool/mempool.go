@@ -12,9 +12,10 @@
 package mempool
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"jitomev/internal/solana"
 )
@@ -59,6 +60,7 @@ type Pool struct {
 	Mode    Visibility
 	pending map[solana.Signature]*Pending
 	order   []solana.Signature // FIFO arrival order
+	drain   []solana.Signature // DrainForBlock's reused sort scratch
 }
 
 // New creates an empty pool in the given visibility mode.
@@ -143,14 +145,15 @@ func (p *Pool) DrainForBlock(max int) []*solana.Transaction {
 		return nil
 	}
 	p.compactOrder()
-	sigs := make([]solana.Signature, 0, len(p.pending))
+	sigs := p.drain[:0]
 	for _, sig := range p.order {
 		if _, ok := p.pending[sig]; ok {
 			sigs = append(sigs, sig)
 		}
 	}
-	sort.SliceStable(sigs, func(i, j int) bool {
-		return p.pending[sigs[i]].Tx.PriorityFee > p.pending[sigs[j]].Tx.PriorityFee
+	p.drain = sigs
+	slices.SortStableFunc(sigs, func(a, b solana.Signature) int {
+		return cmp.Compare(p.pending[b].Tx.PriorityFee, p.pending[a].Tx.PriorityFee)
 	})
 	if len(sigs) > max {
 		sigs = sigs[:max]

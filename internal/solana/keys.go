@@ -175,12 +175,19 @@ func derivePub(secret [32]byte) Pubkey {
 // Pubkey returns the public key of the pair.
 func (kp *Keypair) Pubkey() Pubkey { return kp.pub }
 
+// sigInputCap sizes the stack arrays Sign and Verify assemble their
+// SHA-256 input in; a message too long to fit spills to the heap.
+const sigInputCap = 512
+
 // Sign produces a deterministic 64-byte signature over msg. The first half
 // binds the secret and the message; the second half binds the public key,
 // so two signers never produce equal signatures for the same message.
 func (kp *Keypair) Sign(msg []byte) Signature {
 	var sig Signature
-	h1 := sha256.Sum256(append(append([]byte("jitomev/sig1/"), kp.secret[:]...), msg...))
+	var buf [sigInputCap]byte
+	in := append(buf[:0], "jitomev/sig1/"...)
+	in = append(in, kp.secret[:]...)
+	h1 := sha256.Sum256(append(in, msg...))
 	copy(sig[:32], h1[:])
 	h2 := verifierHalf(kp.pub, msg, sig[:32])
 	copy(sig[32:], h2[:])
@@ -188,8 +195,8 @@ func (kp *Keypair) Sign(msg []byte) Signature {
 }
 
 func verifierHalf(pub Pubkey, msg, h1 []byte) [32]byte {
-	b := make([]byte, 0, 13+32+len(msg)+32)
-	b = append(b, "jitomev/sig2/"...)
+	var buf [sigInputCap]byte
+	b := append(buf[:0], "jitomev/sig2/"...)
 	b = append(b, pub[:]...)
 	b = append(b, msg...)
 	b = append(b, h1...)

@@ -2,6 +2,7 @@ package solana
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -313,6 +314,56 @@ func TestShortForms(t *testing.T) {
 	s := NewKeypairFromSeed("short").Sign([]byte("m"))
 	if len(s.Short()) != 12 {
 		t.Errorf("Signature.Short() = %q, want 12 chars", s.Short())
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestSignMatchesConcatenation checks the buffer-reusing signer against
+// the plain definition — SHA-256 over freshly concatenated inputs — for a
+// message that fits the stack arrays and one that spills past them and
+// past the pooled-buffer cap.
+func TestSignMatchesConcatenation(t *testing.T) {
+	kp := NewKeypairFromSeed("concat")
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, memo := range []int{5, sigInputCap, maxPooledMessage + 1} {
+		tx := NewTransaction(kp, 9, 0, &Memo{Data: bytes.Repeat([]byte{'m'}, memo)})
+		msg := tx.Message()
+		if got := tx.AppendMessage([]byte("prefix")); !bytes.Equal(got[6:], msg) {
+			t.Fatalf("memo %d: AppendMessage differs from Message", memo)
+		}
+		h1 := sha256.Sum256(cat([]byte("jitomev/sig1/"), kp.secret[:], msg))
+		h2 := sha256.Sum256(cat([]byte("jitomev/sig2/"), kp.pub[:], msg, h1[:]))
+		var want Signature
+		copy(want[:32], h1[:])
+		copy(want[32:], h2[:])
+		if tx.Sig != want {
+			t.Errorf("memo %d: signature differs from the concatenated definition", memo)
+		}
+		if err := tx.Validate(); err != nil {
+			t.Errorf("memo %d: %v", memo, err)
+		}
+	}
+}
+
+// TestSignValidateAllocateNothing pins the signing hot path: with the
+// message pool warm, neither Sign nor Validate allocates.
+func TestSignValidateAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	kp := NewKeypairFromSeed("sampleTx")
+	tx := sampleTx("sampleTx", 0)
+	if n := testing.AllocsPerRun(100, func() { tx.Sign(kp) }); n != 0 {
+		t.Errorf("Sign allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if tx.Validate() != nil {
+			t.Fatal("Validate failed")
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
 	}
 }
 

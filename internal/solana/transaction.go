@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Transaction is a single-signer Solana transaction. The fee payer is the
@@ -40,15 +41,44 @@ func NewTransaction(kp *Keypair, nonce uint64, priorityFee Lamports, instrs ...I
 // Message returns the canonical byte encoding of everything covered by the
 // signature.
 func (tx *Transaction) Message() []byte {
-	b := make([]byte, 0, 64+len(tx.Instructions)*80)
-	b = append(b, tx.Signer[:]...)
-	b = binary.LittleEndian.AppendUint64(b, tx.Nonce)
-	b = binary.LittleEndian.AppendUint64(b, uint64(tx.PriorityFee))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(tx.Instructions)))
+	return tx.AppendMessage(make([]byte, 0, 64+len(tx.Instructions)*80))
+}
+
+// AppendMessage appends the canonical message encoding (see Message) to
+// dst.
+func (tx *Transaction) AppendMessage(dst []byte) []byte {
+	dst = append(dst, tx.Signer[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, tx.Nonce)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(tx.PriorityFee))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Instructions)))
 	for _, in := range tx.Instructions {
-		b = in.AppendBinary(b)
+		dst = in.AppendBinary(dst)
 	}
-	return b
+	return dst
+}
+
+// maxPooledMessage caps the message buffers kept for reuse; a buffer a
+// long memo grew past it is dropped.
+const maxPooledMessage = 4 << 10
+
+// messagePool holds the scratch Sign and Validate encode the message
+// into. A stack array would not do: the interface call to AppendBinary
+// makes it escape.
+var messagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// pooledMessage encodes tx's message into a pooled buffer. The caller
+// hands both back to releaseMessage and must not retain msg.
+func (tx *Transaction) pooledMessage() (bp *[]byte, msg []byte) {
+	bp = messagePool.Get().(*[]byte)
+	return bp, tx.AppendMessage((*bp)[:0])
+}
+
+func releaseMessage(bp *[]byte, msg []byte) {
+	if cap(msg) > maxPooledMessage {
+		return
+	}
+	*bp = msg[:0]
+	messagePool.Put(bp)
 }
 
 // Sign signs the transaction with kp, which must match tx.Signer.
@@ -56,7 +86,9 @@ func (tx *Transaction) Sign(kp *Keypair) {
 	if kp.Pubkey() != tx.Signer {
 		panic("solana: signing key does not match tx.Signer")
 	}
-	tx.Sig = kp.Sign(tx.Message())
+	bp, msg := tx.pooledMessage()
+	tx.Sig = kp.Sign(msg)
+	releaseMessage(bp, msg)
 }
 
 // Validate checks structural well-formedness and the signature.
@@ -67,7 +99,10 @@ func (tx *Transaction) Validate() error {
 	if tx.Sig.IsZero() {
 		return ErrUnsigned
 	}
-	if !Verify(tx.Signer, tx.Message(), tx.Sig) {
+	bp, msg := tx.pooledMessage()
+	ok := Verify(tx.Signer, msg, tx.Sig)
+	releaseMessage(bp, msg)
+	if !ok {
 		return ErrBadSignature
 	}
 	return nil
@@ -133,10 +168,9 @@ func (tx *Transaction) String() string {
 // MarshalBinary encodes the full transaction (signature + message) in the
 // wire format used by the explorer's bulk endpoints and the collector.
 func (tx *Transaction) MarshalBinary() ([]byte, error) {
-	msg := tx.Message()
-	b := make([]byte, 0, 64+len(msg))
+	b := make([]byte, 0, 128+len(tx.Instructions)*80)
 	b = append(b, tx.Sig[:]...)
-	return append(b, msg...), nil
+	return tx.AppendMessage(b), nil
 }
 
 // UnmarshalBinary decodes a transaction produced by MarshalBinary.

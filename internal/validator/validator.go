@@ -94,11 +94,11 @@ func (s *Set) JitoStakeShare() float64 {
 }
 
 // LeaderAt returns the leader of slot, chosen stake-weighted and
-// deterministically from the set's seed.
+// deterministically from the set's seed. It runs in constant time and
+// allocates nothing (see firstUint64).
 func (s *Set) LeaderAt(slot solana.Slot) Validator {
 	// Hash slot with the epoch seed into a stake-weighted pick.
-	rng := rand.New(rand.NewSource(s.epochSeed ^ int64(uint64(slot)*0x9E3779B97F4A7C15)))
-	target := rng.Uint64() % s.totalStake
+	target := firstUint64(s.epochSeed^int64(uint64(slot)*0x9E3779B97F4A7C15)) % s.totalStake
 	// Binary search the cumulative stake table.
 	lo, hi := 0, len(s.cumStake)-1
 	for lo < hi {
@@ -110,6 +110,56 @@ func (s *Set) LeaderAt(slot solana.Slot) Validator {
 		}
 	}
 	return s.validators[lo]
+}
+
+// firstUint64 returns rand.New(rand.NewSource(seed)).Uint64() without
+// building the 607-word source. Go 1 guarantees math/rand's seeded
+// output never changes, and the schedule depends on it: the root
+// package's TestGoldenWorld pins it.
+//
+// rngSource.Seed fills vec[i] from three consecutive outputs of the
+// Lehmer generator x' = 48271·x mod (2³¹−1), at chain positions
+// 20+3i+1…3, XORed with rngCooked[i]. The first Uint64 reads only
+// vec[333] + vec[606], so six powers of 48271 reproduce it.
+func firstUint64(seed int64) uint64 {
+	seed %= lehmerMod
+	if seed < 0 {
+		seed += lehmerMod
+	}
+	if seed == 0 {
+		seed = 89482311 // rngSource.Seed's substitute for a zero seed
+	}
+	x := uint64(seed)
+	// rngCooked[333] and rngCooked[606] from math/rand's rng.go.
+	return seededWord(x, &lehmerPow[0], -4633371852008891965) +
+		seededWord(x, &lehmerPow[1], 4152330101494654406)
+}
+
+// seededWord is one vec entry of a source seeded with x: the chain
+// outputs x·p[k] mod (2³¹−1), packed as Seed packs them.
+func seededWord(x uint64, p *[3]uint64, cooked int64) uint64 {
+	u := x * p[0] % lehmerMod << 40
+	u ^= x * p[1] % lehmerMod << 20
+	u ^= x * p[2] % lehmerMod
+	return u ^ uint64(cooked)
+}
+
+// lehmerMod is math/rand's seedrand modulus, 2³¹−1.
+const lehmerMod = 1<<31 - 1
+
+// lehmerPow holds 48271^n mod (2³¹−1) for the chain positions n behind
+// vec[333] (1020…1022) and vec[606] (1839…1841).
+var lehmerPow = [2][3]uint64{
+	{lehmerPower(1020), lehmerPower(1021), lehmerPower(1022)},
+	{lehmerPower(1839), lehmerPower(1840), lehmerPower(1841)},
+}
+
+func lehmerPower(n int) uint64 {
+	p := uint64(1)
+	for ; n > 0; n-- {
+		p = p * 48271 % lehmerMod
+	}
+	return p
 }
 
 // Block is a produced block: the observable unit the collector's

@@ -2,6 +2,7 @@ package validator
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -163,5 +164,88 @@ func TestProduceSlotCountsFailedLooseTxs(t *testing.T) {
 	blk := p.ProduceSlot(1)
 	if len(blk.LooseTxs) != 1 || blk.Failed != 1 {
 		t.Errorf("landed=%d failed=%d", len(blk.LooseTxs), blk.Failed)
+	}
+}
+
+// TestFirstUint64MatchesMathRand pins the closed-form first draw against
+// math/rand itself: the edge seeds of Seed's normalisation, then a seeded
+// random sweep.
+func TestFirstUint64MatchesMathRand(t *testing.T) {
+	want := func(seed int64) uint64 { return rand.New(rand.NewSource(seed)).Uint64() }
+	edges := []int64{0, 1, -1, lehmerMod, -lehmerMod, 2 * lehmerMod, lehmerMod - 1, lehmerMod + 1,
+		89482311, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for _, seed := range edges {
+		if got, w := firstUint64(seed), want(seed); got != w {
+			t.Errorf("firstUint64(%d) = %d, math/rand %d", seed, got, w)
+		}
+	}
+	sweep := rand.New(rand.NewSource(20250601))
+	n := 20_000
+	if testing.Short() {
+		n = 2_000
+	}
+	for i := 0; i < n; i++ {
+		seed := int64(sweep.Uint64())
+		if got, w := firstUint64(seed), want(seed); got != w {
+			t.Fatalf("firstUint64(%d) = %d, math/rand %d", seed, got, w)
+		}
+	}
+}
+
+func TestLeaderAtAllocatesNothing(t *testing.T) {
+	s := NewSet(64, 7)
+	slot := solana.Slot(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		slot++
+		s.LeaderAt(slot)
+	}); n != 0 {
+		t.Errorf("LeaderAt allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkLeaderAt(b *testing.B) {
+	s := NewSet(64, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.LeaderAt(solana.Slot(i))
+	}
+}
+
+// BenchmarkProduceSlot measures one slot of block production: the leader
+// pick, one single-swap bundle through the tip auction and one loose
+// swap through the mempool. Transactions are signed outside the timer.
+func BenchmarkProduceSlot(b *testing.B) {
+	bank := ledger.NewBank()
+	reg := token.NewRegistry()
+	meme := reg.NewMemecoin("MEME")
+	pool := amm.New(meme.Address, token.SOL.Address, 1e15, 1e15, amm.DefaultFeeBps)
+	bank.AddPool(pool)
+	alice := solana.NewKeypairFromSeed("alice")
+	bank.CreditLamports(alice.Pubkey(), 1<<50)
+	bank.MintTo(alice.Pubkey(), token.SOL.Address, 1<<55)
+	bank.MintTo(alice.Pubkey(), meme.Address, 1<<55)
+
+	engine := jito.NewBlockEngine(bank, solana.Clock{Genesis: time.Unix(0, 0)})
+	mp := mempool.New(mempool.VisibilityPrivate)
+	set := NewSet(64, 7)
+	p := NewProducer(set, bank, engine, mp, 100)
+
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mint := token.SOL.Address
+		if i%2 == 1 {
+			mint = meme.Address
+		}
+		bundleTx := solana.NewTransaction(alice, uint64(2*i), 0,
+			&solana.Swap{Pool: pool.Address, InputMint: mint, AmountIn: 1e6},
+			&solana.Tip{TipAccount: jito.TipAccounts[0], Amount: 5_000})
+		if err := engine.Submit(jito.NewBundle(bundleTx)); err != nil {
+			b.Fatal(err)
+		}
+		mp.Add(solana.NewTransaction(alice, uint64(2*i+1), 99,
+			&solana.Swap{Pool: pool.Address, InputMint: mint, AmountIn: 2e6}), 0)
+		b.StartTimer()
+		p.ProduceSlot(solana.Slot(i + 1))
 	}
 }
