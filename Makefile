@@ -47,15 +47,19 @@ chaos:
 # paths against the generic reference, and the explorer wire codec's
 # decoders against encoding/json (accept/reject, decoded values, fault
 # class), and the recent-page handler's limit/before query strings
-# (200 or 400, never a panic; a 200 body is the store's page). Seed
-# corpora are encoder output of generated records plus ChaosHandler-style
-# truncations and byte flips, and the limit/before test cases.
+# (200 or 400, never a panic; a 200 body is the store's page), and the
+# snapshot reader (Scan with and without Map, and Read: never a panic,
+# only ErrCorrupt, and a second scan on recycled decode memory equal to
+# the first). Seed corpora are encoder output of generated records plus
+# ChaosHandler-style truncations and byte flips, the limit/before test
+# cases, and a small v3 snapshot with its truncations.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeDetailRequest$$' -fuzztime=10s -parallel=2 ./internal/explorer
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeDetailResponse$$' -fuzztime=10s -parallel=2 ./internal/explorer
 	$(GO) test -run=NONE -fuzz='^FuzzRecentQuery$$' -fuzztime=10s -parallel=2 ./internal/explorer
+	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s -parallel=2 ./internal/snapshot
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

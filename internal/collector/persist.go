@@ -172,7 +172,8 @@ func LoadDataset(r io.Reader, windowSize int) (*Dataset, error) {
 }
 
 // LoadDatasetWorkers is LoadDataset with an explicit worker count for
-// the v2 parallel decode path (0 = all cores, 1 = serial).
+// the parallel shard decode of v2 and v3 snapshots (0 = all cores,
+// 1 = serial).
 func LoadDatasetWorkers(r io.Reader, windowSize, workers int) (*Dataset, error) {
 	return LoadDatasetObs(r, windowSize, workers, nil)
 }

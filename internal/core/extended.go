@@ -42,9 +42,10 @@ func (dt *Detector) DetectExtended(rec *jito.BundleRecord, details []jito.TxDeta
 	}
 
 	// Precompute trades; tip-only and trade-less transactions are
-	// padding and can never be a sandwich leg.
-	trades := make([]trade, n)
-	legOK := make([]bool, n)
+	// padding and can never be a sandwich leg. n is bounded, so the
+	// scratch lives on the stack.
+	var trades [jito.MaxBundleTxs]trade
+	var legOK, used [jito.MaxBundleTxs]bool
 	for i := range details {
 		if details[i].TipOnly {
 			continue
@@ -53,7 +54,6 @@ func (dt *Detector) DetectExtended(rec *jito.BundleRecord, details []jito.TxDeta
 		legOK[i] = trades[i].ok
 	}
 
-	used := make([]bool, n)
 	for i := 0; i < n-2; i++ {
 		if used[i] || !legOK[i] {
 			continue

@@ -169,3 +169,54 @@ func BenchmarkDetectExtendedLen5(b *testing.B) {
 		}
 	}
 }
+
+// benignLen5 is a five-transaction bundle with no embedded sandwich:
+// three trades by three signers on different pairs, a tip and a memo.
+func benignLen5() ([]jito.TxDetail, *jito.BundleRecord) {
+	details := []jito.TxDetail{
+		detail(70, attacker, solMint, 100, memeMint, 90),
+		detail(71, victim, solMint, 100, meme2, 90),
+		detail(72, other, meme2, 100, solMint, 90),
+		tipOnlyDetail(73, other),
+		memoDetail(74, attacker),
+	}
+	return details, recordN(details, 1_000)
+}
+
+// TestDetectExtendedAllocs pins the stack-only scratch: a bundle with no
+// sandwich allocates nothing, and a found one only the verdict slices.
+func TestDetectExtendedAllocs(t *testing.T) {
+	dt := NewDefaultDetector()
+	benign, rec := benignLen5()
+	if n := testing.AllocsPerRun(100, func() {
+		if ev := dt.DetectExtended(rec, benign); ev.Found() {
+			t.Fatal("benign bundle flagged")
+		}
+	}); n != 0 {
+		t.Errorf("benign 5-tx bundle: %v allocs, want 0", n)
+	}
+
+	s, _ := canonicalSandwich()
+	found := []jito.TxDetail{memoDetail(75, other), s[0], s[1], s[2], tipOnlyDetail(76, attacker)}
+	frec := recordN(found, 1_000)
+	if n := testing.AllocsPerRun(100, func() {
+		if ev := dt.DetectExtended(frec, found); !ev.Found() {
+			t.Fatal("missed")
+		}
+	}); n > 2 {
+		t.Errorf("5-tx bundle with a sandwich: %v allocs, want ≤ 2", n)
+	}
+}
+
+// BenchmarkDetectExtended is the common case of the extended pass: a
+// retained long bundle that holds no sandwich.
+func BenchmarkDetectExtended(b *testing.B) {
+	dt := NewDefaultDetector()
+	details, rec := benignLen5()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ev := dt.DetectExtended(rec, details); ev.Found() {
+			b.Fatal("benign bundle flagged")
+		}
+	}
+}

@@ -20,28 +20,65 @@ import (
 // arbitrary allocation before the payload is even read.
 const maxShardBytes = 1 << 28
 
+// maxDeflateRatio is deflate's largest possible expansion: a frame
+// claiming more raw bytes than its blob can inflate to is corrupt, caught
+// before a buffer is sized from the claim.
+const maxDeflateRatio = 1032
+
+// maxReserve caps the records or keys a section header's item count may
+// reserve up front. The count is only a claim until the shards behind it
+// are read; larger honest sections grow past the cap as they decode.
+// Maps are never sized from a claim.
+const maxReserve = 1 << 20
+
 var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
-// decompressShard inflates blob, whose decompressed size must be exactly
-// rawLen.
-func decompressShard(blob []byte, rawLen int) ([]byte, error) {
+// maxPooledFrame bounds the frame buffers the streaming scan recycles.
+// Honest shards inflate to ≤ 2 MB; a buffer grown past this for a larger
+// (or hostile) frame is left to the collector instead of pinning that
+// much memory in the pool.
+const maxPooledFrame = 4 << 20
+
+// frameBufs recycles the compressed blob and inflated payload buffers of
+// scanned shards.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getFrameBuf returns a pooled buffer of length n.
+func getFrameBuf(n int) *[]byte {
+	p := frameBufs.Get().(*[]byte)
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// putFrameBuf hands a buffer back to the pool unless it is oversized.
+func putFrameBuf(p *[]byte) {
+	if cap(*p) <= maxPooledFrame {
+		frameBufs.Put(p)
+	}
+}
+
+// decompressShard inflates blob into raw, whose length is the declared
+// decompressed size; the payload must be exactly that long.
+func decompressShard(raw, blob []byte) error {
 	zr := gzipReaders.Get().(*gzip.Reader)
 	defer gzipReaders.Put(zr)
 	if err := zr.Reset(bytes.NewReader(blob)); err != nil {
-		return nil, corrupt("shard gzip header: %v", err)
+		return corrupt("shard gzip header: %v", err)
 	}
-	raw := make([]byte, rawLen)
 	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, corrupt("shard inflate: %v", err)
+		return corrupt("shard inflate: %v", err)
 	}
 	// One byte past the claimed length must be clean EOF — this read
 	// also forces the gzip trailer check, so a corrupted blob fails on
 	// its CRC here even when it inflates to the right length.
 	var one [1]byte
 	if n, err := zr.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, corrupt("shard not exactly %d declared bytes: %v", rawLen, err)
+		return corrupt("shard not exactly %d declared bytes: %v", len(raw), err)
 	}
-	return raw, nil
+	return nil
 }
 
 // frameHeader is the per-shard prefix.
@@ -63,6 +100,9 @@ func readFrame(br *bufio.Reader, idx, itemsLeft int) (frameHeader, []byte, error
 			return h, nil, corrupt("shard %d: length %d exceeds limit", idx, v)
 		}
 		*dst = int(v)
+	}
+	if h.rawLen > maxDeflateRatio*h.compLen {
+		return h, nil, corrupt("shard %d: %d raw bytes cannot inflate from %d", idx, h.rawLen, h.compLen)
 	}
 	if h.items > itemsLeft {
 		return h, nil, corrupt("shard %d: items %d overflow section total", idx, h.items)
@@ -91,8 +131,8 @@ func forEachShard(br *bufio.Reader, shardCount, totalItems, workers int, m *snap
 				return err
 			}
 			m.frame(h.rawLen, h.compLen)
-			raw, err := decompressShard(blob, h.rawLen)
-			if err != nil {
+			raw := make([]byte, h.rawLen)
+			if err := decompressShard(raw, blob); err != nil {
 				return corruptShard(i, err)
 			}
 			if err := handle(base, h.items, raw); err != nil {
@@ -139,7 +179,8 @@ func forEachShard(br *bufio.Reader, shardCount, totalItems, workers int, m *snap
 				if failed() {
 					continue
 				}
-				raw, err := decompressShard(j.blob, j.h.rawLen)
+				raw := make([]byte, j.h.rawLen)
+				err := decompressShard(raw, j.blob)
 				if err == nil {
 					err = handle(j.base, j.h.items, raw)
 				}
@@ -242,7 +283,7 @@ func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 			})
 		case secDays:
 			if total > 0 {
-				s.Days = make(map[int]*DayAgg, total)
+				s.Days = make(map[int]*DayAgg)
 			}
 			err = forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
 				return decodeDays(s.Days, items, raw)
@@ -252,25 +293,19 @@ func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		case secTipsLen3:
 			s.TipsLen3, err = readHistogram(br, shards, total, m)
 		case secInterns:
-			if total > 0 {
-				interned = make([]solana.Pubkey, total)
-			}
-			err = forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
-				if len(raw) != 32*items {
-					return corrupt("intern shard %d bytes for %d keys", len(raw), items)
+			interned, err = readIndexed(br, shards, total, workers, m, func(dst []solana.Pubkey, raw []byte) error {
+				if len(raw) != 32*len(dst) {
+					return corrupt("intern shard %d bytes for %d keys", len(raw), len(dst))
 				}
-				for i := 0; i < items; i++ {
-					copy(interned[base+i][:], raw[32*i:])
+				for i := range dst {
+					copy(dst[i][:], raw[32*i:])
 				}
 				return nil
 			})
 		case secLen3, secLong:
 			var recs []jito.BundleRecord
-			if total > 0 {
-				recs = make([]jito.BundleRecord, total)
-			}
-			err = forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
-				return decodeRecordShard(recs[base:base+items], raw)
+			recs, err = readIndexed(br, shards, total, workers, m, func(dst []jito.BundleRecord, raw []byte) error {
+				return decodeRecordShard(dst, raw, new(decodeArena))
 			})
 			if id == secLen3 {
 				s.Len3 = recs
@@ -278,10 +313,10 @@ func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 				s.Long = recs
 			}
 		case secDetails:
-			s.Details = make(map[solana.Signature]jito.TxDetail, total)
+			s.Details = make(map[solana.Signature]jito.TxDetail)
 			var mu sync.Mutex
 			err = forEachShard(br, shards, total, workers, m, func(_, items int, raw []byte) error {
-				return decodeDetailShard(s.Details, &mu, items, raw, interned)
+				return decodeDetailShard(s.Details, &mu, items, raw, interned, new(decodeArena))
 			})
 		default:
 			return nil, corrupt("unknown section %#x", id)
@@ -301,6 +336,32 @@ func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		}
 	}
 	return s, nil
+}
+
+// readIndexed decodes a v2 section whose shards fill consecutive ranges
+// of one slice (nil when the section is empty). A total within
+// maxReserve is allocated up front and filled in parallel; a larger
+// claim is not trusted, so the slice grows shard by shard on one worker,
+// each shard bounded by its real payload.
+func readIndexed[T any](br *bufio.Reader, shards, total, workers int, m *snapObs, decode func(dst []T, raw []byte) error) ([]T, error) {
+	var out []T
+	if total <= maxReserve {
+		if total > 0 {
+			out = make([]T, total)
+		}
+	} else {
+		workers = 1
+	}
+	err := forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
+		if base+items > len(out) {
+			if items > len(raw) {
+				return corrupt("%d items exceed a %d-byte shard", items, len(raw))
+			}
+			out = append(out, make([]T, base+items-len(out))...)
+		}
+		return decode(out[base:base+items], raw)
+	})
+	return out, err
 }
 
 // readHistogram decodes a histogram section: 0 shards means nil.
@@ -385,9 +446,9 @@ func decodeDays(dst map[int]*DayAgg, items int, raw []byte) error {
 
 // decodeRecordShard parses a columnar record shard into dst (one entry
 // per record).
-func decodeRecordShard(dst []jito.BundleRecord, raw []byte) error {
+func decodeRecordShard(dst []jito.BundleRecord, raw []byte, a *decodeArena) error {
 	c := varintCursor{raw: raw}
-	if err := decodeRecordColumns(dst, &c); err != nil {
+	if err := decodeRecordColumns(dst, &c, a); err != nil {
 		return err
 	}
 	return c.done()
@@ -396,8 +457,8 @@ func decodeRecordShard(dst []jito.BundleRecord, raw []byte) error {
 // decodeRecordColumns parses the record columns at the cursor into dst
 // (one entry per record), leaving the cursor just past them — v3 bundle
 // shards continue decoding detail columns from there. Signatures for the
-// whole shard share one backing array.
-func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
+// whole shard share one backing array, drawn from a.
+func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor, a *decodeArena) error {
 	n := len(dst)
 	col, err := c.take(8 * n)
 	if err != nil {
@@ -442,7 +503,8 @@ func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
 	if err != nil {
 		return err
 	}
-	backing := make([]solana.Signature, totalSigs)
+	a.sigs = resize(a.sigs, totalSigs)
+	backing := a.sigs
 	for i := range backing {
 		copy(backing[i][:], sigCol[64*i:])
 	}
@@ -451,6 +513,8 @@ func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
 		cnt := int(counts[i])
 		if cnt > 0 {
 			dst[i].TxIDs = backing[off : off+cnt : off+cnt]
+		} else {
+			dst[i].TxIDs = nil
 		}
 		off += cnt
 	}
@@ -459,7 +523,7 @@ func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
 
 // decodeDetailShard parses a detail shard and inserts the entries into
 // dst under mu. Parsing — the expensive part — runs outside the lock.
-func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, items int, raw []byte, interned []solana.Pubkey) error {
+func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, items int, raw []byte, interned []solana.Pubkey, a *decodeArena) error {
 	c := varintCursor{raw: raw}
 	sigCol, err := c.take(64 * items)
 	if err != nil {
@@ -469,7 +533,7 @@ func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, i
 	for i := range dets {
 		copy(dets[i].Sig[:], sigCol[64*i:])
 	}
-	if err := decodeDetailColumns(dets, &c, interned); err != nil {
+	if err := decodeDetailColumns(dets, &c, interned, a); err != nil {
 		return err
 	}
 	if err := c.done(); err != nil {
@@ -488,8 +552,8 @@ func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, i
 // delta counts, then the ragged delta triples — the layout shared by the
 // v2 details section and the v3 bundle/orphan shards. Pubkey indices
 // resolve against interned (the global v2 table or a v3 shard-local
-// dictionary).
-func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solana.Pubkey) error {
+// dictionary). The delta counts and the TokenDelta backing come from a.
+func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solana.Pubkey, a *decodeArena) error {
 	items := len(dets)
 	var err error
 	pubkey := func() (solana.Pubkey, error) {
@@ -527,20 +591,24 @@ func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solan
 			return err
 		}
 	}
-	counts := make([]int, items)
+	a.counts = resize(a.counts, items)
+	counts := a.counts
 	totalDeltas := 0
 	for i := range dets {
 		n, err := c.uvarint()
 		if err != nil {
 			return err
 		}
-		if n > uint64(len(c.raw)) { // each delta needs ≥3 bytes; cheap sanity bound
+		// Each delta needs ≥3 bytes after the counts column, which bounds
+		// the backing array by the shard size before it is allocated.
+		if n > uint64(len(c.raw)-c.off)/3 || totalDeltas+int(n) > (len(c.raw)-c.off)/3 {
 			return corrupt("delta count %d exceeds shard size", n)
 		}
 		counts[i] = int(n)
 		totalDeltas += int(n)
 	}
-	backing := make([]jito.TokenDelta, totalDeltas)
+	a.deltas = resize(a.deltas, totalDeltas)
+	backing := a.deltas
 	off := 0
 	for i := range dets {
 		for j := 0; j < counts[i]; j++ {
@@ -559,6 +627,8 @@ func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solan
 		}
 		if counts[i] > 0 {
 			dets[i].TokenDeltas = backing[off : off+counts[i] : off+counts[i]]
+		} else {
+			dets[i].TokenDeltas = nil
 		}
 		off += counts[i]
 	}

@@ -1,0 +1,96 @@
+package snapshot
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"reflect"
+	"slices"
+	"testing"
+
+	"jitomev/internal/jito"
+)
+
+// fuzzSeed encodes a small snapshot with aligned details and token
+// deltas. As v3 it holds two len-3 shards, a long shard and an orphan
+// shard.
+func fuzzSeed(tb testing.TB, write func(io.Writer, *Snapshot, int) error) []byte {
+	s := alignedSnapshot(71, bundleShardSize+40, 3, 0.8)
+	var buf bytes.Buffer
+	if err := write(&buf, s, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// scanCopies scans data and deep-copies every batch it delivers, through
+// Map when mapped is set and in the fold otherwise.
+func scanCopies(data []byte, workers int, mapped bool) ([]shardCopy, error) {
+	copyAny := func(sec Section, b *Batch) shardCopy {
+		if sec == SectionOrphans {
+			dets := slices.Clone(b.Details())
+			for i := range dets {
+				dets[i].TokenDeltas = slices.Clone(dets[i].TokenDeltas)
+			}
+			return shardCopy{Sec: sec, Aligned: [][]jito.TxDetail{dets}}
+		}
+		return copyBatch(sec, b)
+	}
+	opts := ScanOptions{Workers: workers}
+	if mapped {
+		opts.Map = func(sec Section, _ ShardMeta, b *Batch) (any, error) { return copyAny(sec, b), nil }
+	}
+	var out []shardCopy
+	err := Scan(bytes.NewReader(data), opts, nil, func(sec Section, _ ShardMeta, b *Batch, m any) error {
+		if mapped {
+			out = append(out, m.(shardCopy))
+		} else {
+			out = append(out, copyAny(sec, b))
+		}
+		return nil
+	})
+	return out, err
+}
+
+// FuzzScan drives the v3 reader over arbitrary bytes: Scan with and
+// without Map, and Read. No input may panic, every rejection is
+// ErrCorrupt, and an accepted input scans to identical batches twice in
+// a row — the second time on recycled decode memory. The corpus is a
+// valid v3 file and its truncations, plus the same data as v2 so
+// mutations also reach Read's v2 decoder.
+func FuzzScan(f *testing.F) {
+	good := fuzzSeed(f, Write)
+	f.Add(good)
+	for _, n := range []int{0, 4, len(MagicV3), len(MagicV3) + 1, 64, 512, len(good) / 3, len(good) / 2, len(good) - 9, len(good) - 1} {
+		f.Add(good[:n])
+	}
+	f.Add(fuzzSeed(f, WriteV2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		isCorrupt := func(what string, err error) bool {
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: error not wrapping ErrCorrupt: %v", what, err)
+			}
+			return err != nil
+		}
+		owned, err := scanCopies(data, 1, false)
+		rejected := isCorrupt("scan", err)
+		first, err := scanCopies(data, 2, true)
+		if isCorrupt("mapped scan", err) != rejected {
+			t.Fatalf("Map changed the verdict: %v", err)
+		}
+		second, err := scanCopies(data, 2, true)
+		if isCorrupt("second mapped scan", err) != rejected {
+			t.Fatalf("second scan changed the verdict: %v", err)
+		}
+		if !rejected {
+			if !reflect.DeepEqual(owned, first) {
+				t.Fatal("Map scan diverges from the owned-batch scan")
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatal("scan on recycled memory diverges from the first")
+			}
+		}
+		_, err = Read(bytes.NewReader(data), 2)
+		isCorrupt("read", err)
+	})
+}

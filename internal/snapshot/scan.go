@@ -91,9 +91,11 @@ type ScanOptions struct {
 	// (detection partials, counts). The batch is released on the worker —
 	// the fold receives b == nil and Map's return value — so per-shard
 	// work heavier than the decode itself scales with the pool instead of
-	// serializing on the fold goroutine. Map must not retain the batch
-	// and must be safe to call concurrently. Pruned shards never reach
-	// Map.
+	// serializing on the fold goroutine. The batch's memory, down to its
+	// records' TxIDs and its details' TokenDeltas, is reused for later
+	// shards once Map returns: Map must not retain the batch or any slice
+	// reachable from it, and must be safe to call concurrently. Pruned
+	// shards never reach Map.
 	Map func(sec Section, m ShardMeta, b *Batch) (any, error)
 
 	// RecordsOnly, when non-nil and reporting true for a bundle section,
@@ -202,7 +204,7 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 		return err
 	}
 	if total > 0 {
-		p.Days = make(map[int]*DayAgg, total)
+		p.Days = make(map[int]*DayAgg)
 	}
 	if err := forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
 		return decodeDays(p.Days, items, raw)
@@ -262,7 +264,7 @@ var errScanAborted = errors.New("snapshot: scan aborted")
 // scanShard is one frame's journey through the scan pipeline.
 type scanShard struct {
 	meta   ShardMeta
-	blob   []byte
+	blob   *[]byte // pooled; returned once inflated
 	batch  *Batch
 	mapped any
 	pruned bool
@@ -313,8 +315,9 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 						sh.err = corrupt("shard %d: body truncated in skip: %v", i, err)
 					}
 				} else {
-					blob := make([]byte, sh.meta.CompLen)
-					if n, err := io.ReadFull(br, blob); err != nil {
+					blob := getFrameBuf(sh.meta.CompLen)
+					if n, err := io.ReadFull(br, *blob); err != nil {
+						putFrameBuf(blob)
 						sh.err = corrupt("shard %d: body truncated at byte %d of %d: %v",
 							i, n, sh.meta.CompLen, err)
 					} else {
@@ -334,22 +337,33 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 		if sh.err != nil || sh.pruned {
 			return sh
 		}
-		// Off the gate: the parallel part.
-		raw, err := decompressShard(sh.blob, sh.meta.RawLen)
+		// Off the gate: the parallel part. The decoders copy everything
+		// out of the payload, so both frame buffers go back to the pool
+		// as soon as the shard is decoded.
+		raw := getFrameBuf(sh.meta.RawLen)
+		err := decompressShard(*raw, *sh.blob)
+		putFrameBuf(sh.blob)
 		sh.blob = nil
 		if err == nil {
+			a := getArena(sh.meta.RawLen)
 			if sec == SectionOrphans {
-				sh.batch, err = decodeOrphanShard(sh.meta.Items, raw)
+				sh.batch, err = decodeOrphanShard(a, sh.meta.Items, *raw)
 			} else {
-				sh.batch, err = decodeBundleShard(sh.meta.Items, raw, withDetails)
+				sh.batch, err = decodeBundleShard(a, sh.meta.Items, *raw, withDetails)
+			}
+			if err != nil {
+				a.recycle(false)
 			}
 		}
+		putFrameBuf(raw)
 		if err != nil {
 			sh.err = corruptShard(i, err)
 			return sh
 		}
 		if opts.Map != nil {
+			// Map must not retain the batch, so its memory is reused.
 			sh.mapped, sh.err = opts.Map(sec, sh.meta, sh.batch)
+			sh.batch.arena.recycle(false)
 			sh.batch = nil
 		}
 		return sh
@@ -442,6 +456,9 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 		}
 		*f.dst = int(v)
 	}
+	if m.RawLen > maxDeflateRatio*m.CompLen {
+		return m, corrupt("shard %d: %d raw bytes cannot inflate from %d", idx, m.RawLen, m.CompLen)
+	}
 	return m, nil
 }
 
@@ -454,9 +471,9 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		SectionStart: func(sec Section, _, items int) error {
 			switch {
 			case sec == SectionLen3 && items > 0:
-				s.Len3 = make([]jito.BundleRecord, 0, items)
+				s.Len3 = make([]jito.BundleRecord, 0, min(items, maxReserve))
 			case sec == SectionLong && items > 0:
-				s.Long = make([]jito.BundleRecord, 0, items)
+				s.Long = make([]jito.BundleRecord, 0, min(items, maxReserve))
 			}
 			return nil
 		},
@@ -480,6 +497,9 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		for i := range dets {
 			s.Details[dets[i].Sig] = dets[i]
 		}
+		// The copies alias the TxIDs and TokenDelta arrays; the rest of
+		// the batch is reused.
+		b.arena.recycle(true)
 		return nil
 	})
 	if err != nil {

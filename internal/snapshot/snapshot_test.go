@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -272,6 +273,42 @@ func TestReadRejectsHostileLengths(t *testing.T) {
 	data = appendUvarint(data, 10)
 	if _, err := Read(bytes.NewReader(data), 0); err == nil {
 		t.Error("hostile length prefix accepted")
+	}
+
+	// A section header's item count is a claim the shards behind it must
+	// back: none of these may reserve memory for it (2^38 records would
+	// be terabytes) or get past the missing frame.
+	section := func(d []byte, id byte, shards, items uint64) []byte {
+		d = append(d, id)
+		return appendUvarint(appendUvarint(d, shards), items)
+	}
+	prelude := func(magic string) []byte {
+		meta := compressShard(make([]byte, 24))
+		d := section([]byte(magic), secMeta, 1, 1)
+		d = appendUvarint(appendUvarint(appendUvarint(d, 1), 24), uint64(len(meta)))
+		return append(d, meta...)
+	}
+	emptyHeader := prelude(MagicV3)
+	for _, id := range []byte{secDays, secTipsLen1, secTipsLen3} {
+		emptyHeader = section(emptyHeader, id, 0, 0)
+	}
+	const claim = 1 << 38
+	cases := map[string][]byte{
+		"v3 days":          section(prelude(MagicV3), secDays, 1, claim),
+		"v3 len-3 records": section(emptyHeader, secBundles3, 1, claim),
+		"v2 days":          section(prelude(Magic), secDays, 1, claim),
+		"v2 interns":       section(prelude(Magic), secInterns, 1, claim),
+		"v2 records":       section(prelude(Magic), secLen3, 1, claim),
+		"v2 details":       section(prelude(Magic), secDetails, 1, claim),
+	}
+	// A frame whose blob cannot inflate to the raw length it claims.
+	inflate := section(prelude(Magic), secDays, 1, 1)
+	inflate = appendUvarint(appendUvarint(appendUvarint(inflate, 1), 1<<20), 10)
+	cases["raw length past deflate's ratio"] = append(inflate, make([]byte, 10)...)
+	for name, data := range cases {
+		if _, err := Read(bytes.NewReader(data), 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"jitomev/internal/jito"
@@ -229,6 +230,8 @@ type Batch struct {
 	hasDetails bool
 	dets       []jito.TxDetail // present details, (record, member) order
 	detOff     []int32         // per record, index of its first detail; len(Recs)+1
+
+	arena *decodeArena // the memory the batch is carved from
 }
 
 // HasDetails reports whether detail columns were decoded (false when the
@@ -252,8 +255,64 @@ func (b *Batch) AppendDetails(dst []jito.TxDetail, i int) ([]jito.TxDetail, bool
 	return append(dst, b.dets[lo:hi]...), true
 }
 
-// readLocalInterns decodes a shard's pubkey dictionary.
-func readLocalInterns(c *varintCursor) ([]solana.Pubkey, error) {
+// decodeArena is the memory one decoded shard is carved from: the Batch
+// itself, its records and details, and the decode scratch. The scanner
+// draws arenas from a pool and hands them back once a shard is consumed
+// (after Map, or after a full load has copied the shard out), so a warm
+// scan allocates per shard, not per record. A fresh arena makes every
+// slice a new allocation — what the v2 decoders use.
+type decodeArena struct {
+	batch   Batch
+	recs    []jito.BundleRecord
+	sigs    []solana.Signature // TxIDs backing
+	dets    []jito.TxDetail
+	detOff  []int32
+	keys    []solana.Pubkey // shard-local dictionary
+	counts  []int           // per-detail delta counts
+	deltas  []jito.TokenDelta
+	payload int // length of the payload last decoded into the arena
+}
+
+var arenas = sync.Pool{New: func() any { return new(decodeArena) }}
+
+// getArena takes an arena from the pool to decode a payload of rawLen
+// bytes.
+func getArena(rawLen int) *decodeArena {
+	a := arenas.Get().(*decodeArena)
+	a.payload = rawLen
+	return a
+}
+
+// recycle returns the arena to the pool; the batch carved from it must
+// not be used afterwards. keepBackings withholds the TxIDs and
+// TokenDelta arrays, which records and details copied out of the batch
+// still alias, and clears the stale references to them. Arenas that
+// decoded an oversized payload are left to the collector, like oversized
+// frame buffers.
+func (a *decodeArena) recycle(keepBackings bool) {
+	a.batch = Batch{}
+	if keepBackings {
+		a.sigs, a.deltas = nil, nil
+		clear(a.recs)
+		clear(a.dets)
+	}
+	if a.payload <= maxPooledFrame {
+		arenas.Put(a)
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. Reused elements keep stale values; decoders overwrite every
+// field.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// readLocalInterns decodes a shard's pubkey dictionary into a.keys.
+func readLocalInterns(c *varintCursor, a *decodeArena) ([]solana.Pubkey, error) {
 	n, err := c.uvarint()
 	if err != nil {
 		return nil, err
@@ -265,28 +324,39 @@ func readLocalInterns(c *varintCursor) ([]solana.Pubkey, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]solana.Pubkey, n)
+	a.keys = resize(a.keys, int(n))
+	keys := a.keys
 	for i := range keys {
 		copy(keys[i][:], col[32*i:])
 	}
 	return keys, nil
 }
 
-// decodeBundleShard parses one self-contained shard. With withDetails
-// false only the record columns are decoded and the rest of the payload
-// is deliberately left unparsed — the records-only fast path for
-// queries that never touch details.
-func decodeBundleShard(items int, raw []byte, withDetails bool) (*Batch, error) {
-	b := &Batch{Recs: make([]jito.BundleRecord, items)}
+// minRecordBytes is the fixed-width column footprint of one record: seq,
+// id, slot, timestamp, tip and transaction count.
+const minRecordBytes = 8 + 32 + 8 + 8 + 8 + 1
+
+// decodeBundleShard parses one self-contained shard into a batch carved
+// from a. With withDetails false only the record columns are decoded and
+// the rest of the payload is deliberately left unparsed — the
+// records-only fast path for queries that never touch details. Nothing
+// in the batch aliases raw.
+func decodeBundleShard(a *decodeArena, items int, raw []byte, withDetails bool) (*Batch, error) {
+	if items > len(raw)/minRecordBytes {
+		return nil, corrupt("%d records exceed a %d-byte shard", items, len(raw))
+	}
+	a.recs = resize(a.recs, items)
+	b := &a.batch
+	*b = Batch{Recs: a.recs, arena: a}
 	c := varintCursor{raw: raw}
-	if err := decodeRecordColumns(b.Recs, &c); err != nil {
+	if err := decodeRecordColumns(b.Recs, &c, a); err != nil {
 		return nil, err
 	}
 	if !withDetails {
 		return b, nil
 	}
 
-	keys, err := readLocalInterns(&c)
+	keys, err := readLocalInterns(&c, a)
 	if err != nil {
 		return nil, err
 	}
@@ -305,11 +375,12 @@ func decodeBundleShard(items int, raw []byte, withDetails bool) (*Batch, error) 
 		}
 		count += int(p)
 	}
-	dets := make([]jito.TxDetail, count)
-	b.detOff = make([]int32, items+1)
+	a.dets = resize(a.dets, count)
+	a.detOff = resize(a.detOff, items+1)
+	dets, detOff := a.dets, a.detOff
 	k, di := 0, 0
 	for i := range b.Recs {
-		b.detOff[i] = int32(di)
+		detOff[i] = int32(di)
 		for _, sig := range b.Recs[i].TxIDs {
 			if pres[k] == 1 {
 				dets[di].Sig = sig
@@ -318,22 +389,23 @@ func decodeBundleShard(items int, raw []byte, withDetails bool) (*Batch, error) 
 			k++
 		}
 	}
-	b.detOff[items] = int32(di)
-	if err := decodeDetailColumns(dets, &c, keys); err != nil {
+	detOff[items] = int32(di)
+	if err := decodeDetailColumns(dets, &c, keys, a); err != nil {
 		return nil, err
 	}
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	b.dets = dets
+	b.dets, b.detOff = dets, detOff
 	b.hasDetails = true
 	return b, nil
 }
 
-// decodeOrphanShard parses an orphan shard into a details-only batch.
-func decodeOrphanShard(items int, raw []byte) (*Batch, error) {
+// decodeOrphanShard parses an orphan shard into a details-only batch
+// carved from a.
+func decodeOrphanShard(a *decodeArena, items int, raw []byte) (*Batch, error) {
 	c := varintCursor{raw: raw}
-	keys, err := readLocalInterns(&c)
+	keys, err := readLocalInterns(&c, a)
 	if err != nil {
 		return nil, err
 	}
@@ -341,15 +413,17 @@ func decodeOrphanShard(items int, raw []byte) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	dets := make([]jito.TxDetail, items)
+	a.dets = resize(a.dets, items)
+	dets := a.dets
 	for i := range dets {
 		copy(dets[i].Sig[:], sigCol[64*i:])
 	}
-	if err := decodeDetailColumns(dets, &c, keys); err != nil {
+	if err := decodeDetailColumns(dets, &c, keys, a); err != nil {
 		return nil, err
 	}
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	return &Batch{dets: dets, hasDetails: true}, nil
+	a.batch = Batch{dets: dets, hasDetails: true, arena: a}
+	return &a.batch, nil
 }

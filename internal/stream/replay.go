@@ -40,18 +40,24 @@ func Canonicalize(data *collector.Dataset) *collector.Dataset {
 	return &out
 }
 
+// canonicalOrder returns a sorted copy of recs, leaving recs untouched.
 func canonicalOrder(recs []jito.BundleRecord) []jito.BundleRecord {
 	out := append([]jito.BundleRecord(nil), recs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Slot != out[j].Slot {
-			return out[i].Slot < out[j].Slot
-		}
-		if out[i].Seq != out[j].Seq {
-			return out[i].Seq < out[j].Seq
-		}
-		return lessID(out[i].ID, out[j].ID)
-	})
+	sortCanonical(out)
 	return out
+}
+
+// sortCanonical sorts recs in place into (Slot, Seq, ID) order.
+func sortCanonical(recs []jito.BundleRecord) {
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].Slot != recs[j].Slot {
+			return recs[i].Slot < recs[j].Slot
+		}
+		if recs[i].Seq != recs[j].Seq {
+			return recs[i].Seq < recs[j].Seq
+		}
+		return lessID(recs[i].ID, recs[j].ID)
+	})
 }
 
 // Replay offers every retained record of the dataset to the engine in
@@ -59,11 +65,15 @@ func canonicalOrder(recs []jito.BundleRecord) []jito.BundleRecord {
 // detail sets are withheld, exactly as the batch fold skips them), and
 // imports the dataset's scope. The caller still runs Finish.
 func Replay(e *Engine, data *collector.Dataset) {
-	recs := data.Len3
-	if e.cfg.Extended && len(data.Long) > 0 {
-		recs = append(append([]jito.BundleRecord(nil), data.Len3...), data.Long...)
+	var long []jito.BundleRecord
+	if e.cfg.Extended {
+		long = data.Long
 	}
-	for _, rec := range canonicalOrder(recs) {
+	// One private copy of the records to offer, sorted in place.
+	recs := make([]jito.BundleRecord, 0, len(data.Len3)+len(long))
+	recs = append(append(recs, data.Len3...), long...)
+	sortCanonical(recs)
+	for _, rec := range recs {
 		e.Offer(Event{Rec: rec, Details: detailsOf(data, &rec)})
 	}
 	e.SetScope(ScopeOf(data))
