@@ -50,9 +50,13 @@ chaos:
 # (200 or 400, never a panic; a 200 body is the store's page), and the
 # snapshot reader (Scan with and without Map, and Read: never a panic,
 # only ErrCorrupt, and a second scan on recycled decode memory equal to
-# the first). Seed corpora are encoder output of generated records plus
+# the first), and the W3C traceparent parser (an accepted header carries
+# exactly the IDs and sampled bit it decoded to), and the fleet /leasez
+# operations (arbitrary POST bodies: never a panic, only 200/400/404/409).
+# Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
-# cases, and a small v3 snapshot with its truncations.
+# cases, a small snapshot with its truncations, the traceparent
+# round-trip cases, and the /leasez request bodies of the HTTP tests.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
@@ -60,6 +64,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeDetailResponse$$' -fuzztime=10s -parallel=2 ./internal/explorer
 	$(GO) test -run=NONE -fuzz='^FuzzRecentQuery$$' -fuzztime=10s -parallel=2 ./internal/explorer
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s -parallel=2 ./internal/snapshot
+	$(GO) test -run=NONE -fuzz='^FuzzTraceparent$$' -fuzztime=10s -parallel=2 ./internal/obs
+	$(GO) test -run=NONE -fuzz='^FuzzLeasezOps$$' -fuzztime=10s -parallel=2 ./internal/fleet
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

@@ -5,9 +5,9 @@
 //
 // With -load the command analyzes a saved snapshot instead; -stream
 // routes that through the out-of-core engine (internal/query), which
-// scans v3 snapshots shard-at-a-time under bounded memory and falls back
-// to a full load for older containers. -days then restricts the query to
-// a study-day range, pruning out-of-range shards without decoding them.
+// scans the snapshot shard-at-a-time under bounded memory. -days then
+// restricts the query to a study-day range, pruning out-of-range shards
+// without decoding them.
 //
 // Usage:
 //
@@ -198,12 +198,8 @@ func renderFromFile(path, fig string, points, workers int, stream, replay bool, 
 		if err != nil {
 			fail(err)
 		}
-		mode := "full-load fallback (v%d container)"
-		if st.Streamed {
-			mode = "streamed v%d"
-		}
-		fmt.Fprintf(os.Stderr, "report: "+mode+": %d shards scanned, %d pruned (%.0f%%), %.1f MiB decoded, %.1f MiB skipped, peak heap %.1f MiB, %s\n",
-			st.Format, st.ShardsScanned, st.ShardsPruned, 100*st.PrunedFraction(),
+		fmt.Fprintf(os.Stderr, "report: streamed: %d shards scanned, %d pruned (%.0f%%), %.1f MiB decoded, %.1f MiB skipped, peak heap %.1f MiB, %s\n",
+			st.ShardsScanned, st.ShardsPruned, 100*st.PrunedFraction(),
 			float64(st.BytesDecoded)/(1<<20), float64(st.BytesSkipped)/(1<<20),
 			float64(st.PeakHeapBytes)/(1<<20), time.Since(start).Round(time.Millisecond))
 		r = res

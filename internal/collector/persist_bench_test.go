@@ -14,7 +14,7 @@ import (
 
 // The persistence benchmarks run over the shared 20-day Scale=10,000
 // bench study — the same dataset scale the analysis benchmarks use —
-// so v1-vs-v2 numbers in EXPERIMENTS.md are comparable across PRs.
+// so save/load numbers in EXPERIMENTS.md are comparable across PRs.
 var (
 	persistBenchOnce sync.Once
 	persistBenchData *Dataset
@@ -36,9 +36,8 @@ func benchDataset(b *testing.B) *Dataset {
 	return persistBenchData
 }
 
-// BenchmarkSnapshotSave measures checkpoint encoding: the legacy v1
-// gzip+gob stream against the v2 sharded columnar format, serial and at
-// NumCPU workers. SetBytes reports throughput in snapshot bytes/sec.
+// BenchmarkSnapshotSave measures checkpoint encoding, serial (w1) and at
+// NumCPU workers (wN). SetBytes reports throughput in snapshot bytes/sec.
 func BenchmarkSnapshotSave(b *testing.B) {
 	d := benchDataset(b)
 	run := func(name string, save func(w io.Writer) error) {
@@ -57,10 +56,9 @@ func BenchmarkSnapshotSave(b *testing.B) {
 			}
 		})
 	}
-	run("v1-gob", d.saveV1)
-	run("v2-w1", func(w io.Writer) error { return d.SaveWorkers(w, 1) })
+	run("w1", func(w io.Writer) error { return d.SaveWorkers(w, 1) })
 	if n := runtime.NumCPU(); n > 1 {
-		run(fmt.Sprintf("v2-w%d", n), func(w io.Writer) error {
+		run(fmt.Sprintf("w%d", n), func(w io.Writer) error {
 			return d.SaveWorkers(w, n)
 		})
 	}
@@ -70,11 +68,8 @@ func BenchmarkSnapshotSave(b *testing.B) {
 // matrix. SetBytes reports throughput in snapshot bytes/sec.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	d := benchDataset(b)
-	var v1, v2 bytes.Buffer
-	if err := d.saveV1(&v1); err != nil {
-		b.Fatal(err)
-	}
-	if err := d.Save(&v2); err != nil {
+	var snap bytes.Buffer
+	if err := d.Save(&snap); err != nil {
 		b.Fatal(err)
 	}
 	run := func(name string, data []byte, workers int) {
@@ -88,9 +83,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			}
 		})
 	}
-	run("v1-gob", v1.Bytes(), 1)
-	run("v2-w1", v2.Bytes(), 1)
+	run("w1", snap.Bytes(), 1)
 	if n := runtime.NumCPU(); n > 1 {
-		run(fmt.Sprintf("v2-w%d", n), v2.Bytes(), n)
+		run(fmt.Sprintf("w%d", n), snap.Bytes(), n)
 	}
 }

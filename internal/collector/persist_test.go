@@ -1,13 +1,12 @@
 package collector
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
-	"flag"
+	"fmt"
+	"io"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -119,7 +118,7 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(bytes.NewReader([]byte("not a gzip")), 64); err == nil {
 		t.Error("garbage accepted")
 	}
-	// Valid gzip, invalid gob.
+	// A gzip stream, the head of the retired single-stream layout.
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	zw.Write([]byte("gibberish"))
@@ -129,75 +128,99 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRefusesNonV3 is the -resume regression test: a
-// checkpoint that is not a current-format snapshot — a v1 or v2 archive,
-// a truncated header, foreign bytes — must be refused with a clear
-// versioned error, never decoded (or panicked over) and then rewritten.
+// TestLoadCheckpointRefusesNonV3 is the -resume regression test: the
+// snapshot magic is the only version check, and every head that is not
+// a current snapshot — a retired layout, a truncated header, foreign
+// bytes, a cut body — is ErrCorrupt from the batch reader, the
+// streaming scan and the dataset loader alike, never decoded (or
+// panicked over). The loader's verdict is what -resume, merge and
+// replica restore rely on before rewriting a checkpoint in place.
 func TestLoadCheckpointRefusesNonV3(t *testing.T) {
 	c := collectedDataset(t)
-
 	var v3 bytes.Buffer
 	if err := c.Data.Save(&v3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(bytes.NewReader(v3.Bytes()), 256, 1, nil); err != nil {
-		t.Fatalf("v3 checkpoint refused: %v", err)
+	if _, err := LoadDatasetObs(bytes.NewReader(v3.Bytes()), 256, 1, nil); err != nil {
+		t.Fatalf("current snapshot refused: %v", err)
 	}
 
-	var v1 bytes.Buffer
-	if err := c.Data.saveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := snapshot.WriteV2(&v2, c.Data.snapshotView(), 1); err != nil {
-		t.Fatal(err)
-	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write([]byte("a gob stream"))
+	zw.Close()
 	cases := []struct {
-		name, want string
-		data       []byte
+		name  string
+		data  []byte
+		names string // the head the error must quote, if any
 	}{
-		{"v1 archive", "v1 snapshot", v1.Bytes()},
-		{"v2 archive", "v2 snapshot", v2.Bytes()},
-		{"empty file", "truncated header", nil},
-		{"one byte", "truncated header", []byte{'j'}},
-		{"short magic", "truncated header", []byte("jitos")},
-		{"foreign bytes", "not a dataset snapshot", []byte("PK\x03\x04 definitely a zip")},
-		{"damaged magic", "not a dataset snapshot", []byte("jitosnp9????????")},
+		{"v1 gzip head", gz.Bytes(), ""},
+		{"v2 magic", append([]byte("jitosnp2"), v3.Bytes()[8:]...), "jitosnp2"},
+		{"empty file", nil, ""},
+		{"one byte", []byte{'j'}, ""},
+		{"short magic", []byte("jitos"), "jitos"},
+		{"foreign bytes", []byte("PK\x03\x04 definitely a zip"), "PK\x03\x04 def"},
+		{"damaged magic", []byte("jitosnp9????????"), "jitosnp9"},
+		{"v3 body cut in half", v3.Bytes()[:v3.Len()/2], ""},
+	}
+	paths := []struct {
+		name string
+		run  func(io.Reader) error
+	}{
+		{"Read", func(r io.Reader) error {
+			_, err := snapshot.Read(r, 1)
+			return err
+		}},
+		{"Scan", func(r io.Reader) error {
+			return snapshot.Scan(r, snapshot.ScanOptions{Workers: 1}, nil,
+				func(snapshot.Section, snapshot.ShardMeta, *snapshot.Batch, any) error { return nil })
+		}},
+		{"LoadDatasetObs", func(r io.Reader) error {
+			_, err := LoadDatasetObs(r, 256, 1, nil)
+			return err
+		}},
 	}
 	for _, tc := range cases {
-		_, err := LoadCheckpoint(bytes.NewReader(tc.data), 256, 1, nil)
-		if err == nil {
-			t.Errorf("%s: accepted as a checkpoint", tc.name)
-			continue
+		for _, path := range paths {
+			err := path.run(bytes.NewReader(tc.data))
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s via %s: err = %v, want ErrCorrupt", tc.name, path.name, err)
+				continue
+			}
+			if tc.names != "" && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.names)) {
+				t.Errorf("%s via %s: error %q does not name the magic found", tc.name, path.name, err)
+			}
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-
-	// A v3 header with a truncated body is refused by the decoder (not a
-	// panic), wrapped as a corrupt snapshot.
-	cut := v3.Bytes()[:v3.Len()/2]
-	if _, err := LoadCheckpoint(bytes.NewReader(cut), 256, 1, nil); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("truncated v3 body: err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestSniffVersion: the version lives in the magic alone. A v1 gzip
+// head and a v2 magic are refused at the magic, with the head that was
+// found quoted in the error; a v3 magic passes the gate, so a damaged
+// body behind it is refused by the decoder, not as a bad magic.
 func TestSniffVersion(t *testing.T) {
 	for _, tc := range []struct {
-		head []byte
-		want int
+		head      []byte
+		gateFails bool
 	}{
-		{[]byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}, 1},
-		{[]byte("jitosnp2rest"), 2},
-		{[]byte("jitosnp3rest"), 3},
+		{[]byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}, true},
+		{[]byte("jitosnp2rest"), true},
+		{[]byte("jitosnp3rest"), false},
 	} {
-		v, err := SniffVersion(bufio.NewReader(bytes.NewReader(tc.head)))
-		if err != nil || v != tc.want {
-			t.Errorf("SniffVersion(%q) = %d, %v; want %d", tc.head, v, err, tc.want)
+		_, err := LoadDatasetObs(bytes.NewReader(tc.head), 256, 1, nil)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("head %q: err = %v, want ErrCorrupt", tc.head, err)
+			continue
+		}
+		atGate := strings.Contains(err.Error(), "bad magic")
+		if atGate != tc.gateFails {
+			t.Errorf("head %q: refused at the magic = %v, want %v (err %q)", tc.head, atGate, tc.gateFails, err)
+		}
+		if tc.gateFails && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.head[:len(snapshot.MagicV3)])) {
+			t.Errorf("head %q: error %q does not name the magic found", tc.head, err)
 		}
 	}
-	if _, err := SniffVersion(bufio.NewReader(bytes.NewReader(nil))); err == nil {
+	if _, err := LoadDatasetObs(bytes.NewReader(nil), 256, 1, nil); err == nil {
 		t.Error("empty stream sniffed without error")
 	}
 }
@@ -317,54 +340,6 @@ func TestBackfillOverHTTP(t *testing.T) {
 	}
 }
 
-// updateGolden regenerates testdata/v1-golden.snap with the legacy v1
-// encoder: go test ./internal/collector -run GoldenV1 -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the v1 golden fixture")
-
-// goldenDataset is the hand-built dataset behind the v1 golden fixture.
-// Fully deterministic — no workload, no randomness — so the assertions
-// in TestGoldenV1Fixture can be exact.
-func goldenDataset() *Dataset {
-	d := NewDataset(testClock, 64)
-	var signerA, signerB, mintSOL, mintMEME solana.Pubkey
-	signerA[0], signerB[0], mintSOL[0], mintMEME[0] = 0xAA, 0xBB, 0x01, 0x02
-	for i := 0; i < 30; i++ {
-		rec := jito.BundleRecord{
-			Seq:      uint64(i + 1),
-			Slot:     solana.Slot(i) * 90_000,
-			UnixMs:   1_739_059_200_000 + int64(i)*40_000_000,
-			TipLamps: uint64(500 * (i + 1)),
-		}
-		rec.ID[0], rec.ID[31] = byte(i), 0x77
-		n := 1 + i%5
-		for j := 0; j < n; j++ {
-			var sig solana.Signature
-			sig[0], sig[1], sig[63] = byte(i), byte(j), 0x3C
-			rec.TxIDs = append(rec.TxIDs, sig)
-		}
-		d.Ingest(rec)
-	}
-	for r := range d.Len3 {
-		rec := &d.Len3[r]
-		for j, sig := range rec.TxIDs {
-			det := jito.TxDetail{Sig: sig, Signer: signerA, Slot: rec.Slot,
-				TipLamports: rec.TipLamps * uint64(j)}
-			if j == 1 {
-				det.Signer = signerB
-				det.TokenDeltas = []jito.TokenDelta{
-					{Owner: signerB, Mint: mintSOL, Delta: -1_000_000},
-					{Owner: signerB, Mint: mintMEME, Delta: 42},
-				}
-			}
-			if j == 2 {
-				det.Failed, det.TipOnly = true, true
-			}
-			d.Details[sig] = det
-		}
-	}
-	return d
-}
-
 // datasetsEquivalent asserts a and b carry the same collection results.
 func datasetsEquivalent(t *testing.T, want, got *Dataset) {
 	t.Helper()
@@ -413,65 +388,6 @@ func datasetsEquivalent(t *testing.T, want, got *Dataset) {
 			t.Fatalf("detail %x: %+v vs %+v", sig[:4], g, det)
 		}
 	}
-}
-
-// TestGoldenV1Fixture pins backward compatibility: the checked-in v1
-// (gzip+gob) snapshot must keep decoding through LoadDataset forever,
-// whatever format Save currently writes.
-func TestGoldenV1Fixture(t *testing.T) {
-	const path = "testdata/v1-golden.snap"
-	if *updateGolden {
-		var buf bytes.Buffer
-		if err := goldenDataset().saveV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := LoadDataset(f, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsEquivalent(t, goldenDataset(), loaded)
-}
-
-// TestV1V2Equivalence: the same dataset saved through the legacy gob
-// path and the v2 sharded path must load back identical.
-func TestV1V2Equivalence(t *testing.T) {
-	d := collectedDataset(t).Data
-
-	var v1, v2 bytes.Buffer
-	if err := d.saveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Bytes()[0] == 0x1f {
-		t.Fatal("Save still writes the v1 gzip stream")
-	}
-
-	fromV1, err := LoadDataset(&v1, 200)
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	fromV2, err := LoadDataset(&v2, 200)
-	if err != nil {
-		t.Fatalf("v2 load: %v", err)
-	}
-	datasetsEquivalent(t, d, fromV1)
-	datasetsEquivalent(t, d, fromV2)
-	datasetsEquivalent(t, fromV1, fromV2)
 }
 
 // TestSaveByteIdenticalAcrossWorkers: checkpoint bytes are a pure

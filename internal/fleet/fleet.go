@@ -62,6 +62,8 @@ var (
 	// ErrUnknownPartition rejects operations naming a partition outside
 	// the plan.
 	ErrUnknownPartition = errors.New("fleet: unknown partition")
+	// ErrBadPlan rejects a partition count outside [1, maxPartitions].
+	ErrBadPlan = errors.New("fleet: bad partition count")
 )
 
 // ErrCrashed is the terminal status of a replica that suffered an
@@ -95,12 +97,17 @@ type Plan struct {
 	Partitions []Partition `json:"partitions"`
 }
 
+// maxPartitions bounds a plan's partition count. The count arrives from
+// clients over /leasez/plan and sizes the lease table, so it is checked
+// before anything is allocated; real fleets use a handful.
+const maxPartitions = 1 << 12
+
 // PlanOver splits [1, highWater] into n contiguous partitions of
 // near-equal size (partition i covers (H·i/n, H·(i+1)/n]). Every
 // sequence belongs to exactly one partition.
 func PlanOver(highWater uint64, n int) (Plan, error) {
-	if n <= 0 {
-		return Plan{}, fmt.Errorf("fleet: plan needs at least one partition, got %d", n)
+	if n <= 0 || n > maxPartitions {
+		return Plan{}, fmt.Errorf("%w: %d, want 1..%d", ErrBadPlan, n, maxPartitions)
 	}
 	pl := Plan{HighWater: highWater, Partitions: make([]Partition, n)}
 	for i := 0; i < n; i++ {

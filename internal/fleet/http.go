@@ -76,6 +76,8 @@ func codeFor(err error) (string, int) {
 		return "no_plan", http.StatusConflict
 	case errors.Is(err, ErrUnknownPartition):
 		return "unknown_partition", http.StatusNotFound
+	case errors.Is(err, ErrBadPlan):
+		return "bad_plan", http.StatusBadRequest
 	}
 	return "internal", http.StatusInternalServerError
 }
@@ -93,6 +95,8 @@ func sentinelFor(code string) error {
 		return ErrNoPlan
 	case "unknown_partition":
 		return ErrUnknownPartition
+	case "bad_plan":
+		return ErrBadPlan
 	}
 	return nil
 }

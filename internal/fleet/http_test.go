@@ -131,6 +131,26 @@ func TestLeaseHTTPRejectsBadRequests(t *testing.T) {
 	if resp := post("/leasez/frobnicate", "{}"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown op: %d", resp.StatusCode)
 	}
+
+	// A partition count outside 1..maxPartitions is the client's error,
+	// refused before the table is sized from it.
+	unplanned, _ := leasezServer(t, 100)
+	for _, body := range []string{`{"partitions":1000000000000}`, `{"partitions":0}`} {
+		resp, err := http.Post(unplanned.BaseURL+"/leasez/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST plan %s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("plan %s: %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if _, err := unplanned.Plan(maxPartitions + 1); !errors.Is(err, ErrBadPlan) {
+		t.Fatalf("oversized plan: %v, want ErrBadPlan", err)
+	}
+	if _, err := unplanned.Plan(maxPartitions); err != nil {
+		t.Fatalf("plan at the bound: %v", err)
+	}
 }
 
 // TestFleetOverHTTPCoordinator runs a small fleet whose replicas
@@ -177,4 +197,49 @@ func TestFleetOverHTTPCoordinator(t *testing.T) {
 	if got := saveBytes(t, merged); string(got) != string(want) {
 		t.Fatal("HTTP-coordinated merge differs from ground truth")
 	}
+}
+
+// FuzzLeasezOps posts arbitrary bodies to every /leasez operation. No
+// body may panic the server, and every answer is 200 or a client error
+// (400, 404, 409) — never a 5xx. Each input first meets /leasez/plan on
+// an unplanned table, which is where the partition count is sized, then
+// every op on the planned table.
+func FuzzLeasezOps(f *testing.F) {
+	for _, body := range []string{
+		`{"partitions":3}`,
+		`{"partition":1,"holder":"a","ttl_ms":1000}`,
+		`{"partition":42,"holder":"a","ttl_ms":1000}`,
+		`{"partition":1,"holder":"a","epoch":1,"ttl_ms":1000}`,
+		`{"partition":1,"holder":"a","epoch":8,"ttl_ms":1000}`,
+		`{"partition":1,"holder":"a","epoch":1,"cursor":640,"records":25}`,
+		`{"partition":1,"holder":"a","epoch":1,"done":true}`,
+		"{not json",
+		`{"partition":0,"holder":"a","ttl_ms":1000,"bogus":1}`,
+		"{}",
+		`{"partitions":1000000000000}`,
+		`{"partitions":0}`,
+	} {
+		f.Add(body)
+	}
+	ops := []string{"/leasez/plan", "/leasez/acquire", "/leasez/renew", "/leasez/checkpoint", "/leasez/release"}
+	f.Fuzz(func(t *testing.T, body string) {
+		table := NewLeaseTable(func() uint64 { return 1000 }, nil)
+		srv := NewLeaseServer(table)
+		post := func(op string) {
+			rec := httptest.NewRecorder()
+			srv.handleOp(rec, httptest.NewRequest(http.MethodPost, op, strings.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict:
+			default:
+				t.Fatalf("POST %s %q: status %d: %s", op, body, rec.Code, rec.Body.Bytes())
+			}
+		}
+		post("/leasez/plan")
+		if _, err := table.Plan(4); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			post(op)
+		}
+	})
 }

@@ -273,7 +273,7 @@ func (r *Replica) restore(lease Lease) (*collector.Dataset, uint64) {
 	if lease.Cursor > 0 {
 		path := CheckpointPath(r.cfg.CkptDir, part.ID, lease.CkptEpoch)
 		if f, err := os.Open(path); err == nil {
-			ds, lerr := collector.LoadCheckpoint(f, r.windowSize(), 1, nil)
+			ds, lerr := collector.LoadDatasetObs(f, r.windowSize(), 1, nil)
 			f.Close()
 			if lerr == nil {
 				// A loaded dataset reverts to the default length-3-only

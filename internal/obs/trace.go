@@ -79,30 +79,51 @@ func (c SpanCtx) Traceparent() string {
 }
 
 // ParseTraceparent decodes a W3C traceparent header value. ok is false
-// on any malformation (wrong shape, bad hex, all-zero IDs); sampled
+// on any malformation (wrong shape, hex that is not lowercase, version
+// ff, trailing bytes on a version-00 header, all-zero IDs); sampled
 // reflects the flags byte.
 func ParseTraceparent(s string) (tid TraceID, sid SpanID, sampled, ok bool) {
-	// version(2) - traceid(32) - spanid(16) - flags(2)
+	// version(2) - traceid(32) - spanid(16) - flags(2). Version 00 is
+	// exactly that; a later version may append "-" and further fields.
 	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return TraceID{}, SpanID{}, false, false
 	}
-	if s[0] == 'f' && s[1] == 'f' { // version 0xff is forbidden
+	var version, flags [1]byte
+	if !decodeLowerHex(version[:], s[0:2]) || version[0] == 0xff ||
+		!decodeLowerHex(tid[:], s[3:35]) || !decodeLowerHex(sid[:], s[36:52]) ||
+		!decodeLowerHex(flags[:], s[53:55]) {
 		return TraceID{}, SpanID{}, false, false
 	}
-	if _, err := hex.Decode(tid[:], []byte(s[3:35])); err != nil {
-		return TraceID{}, SpanID{}, false, false
-	}
-	if _, err := hex.Decode(sid[:], []byte(s[36:52])); err != nil {
-		return TraceID{}, SpanID{}, false, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
+	if (version[0] == 0 && len(s) != 55) || (len(s) > 55 && s[55] != '-') {
 		return TraceID{}, SpanID{}, false, false
 	}
 	if tid.IsZero() || sid.IsZero() {
 		return TraceID{}, SpanID{}, false, false
 	}
 	return tid, sid, flags[0]&1 != 0, true
+}
+
+// decodeLowerHex fills dst from the 2·len(dst) hex digits of s, which
+// must be lowercase as Trace Context requires.
+func decodeLowerHex(dst []byte, s string) bool {
+	nibble := func(c byte) (byte, bool) {
+		switch {
+		case '0' <= c && c <= '9':
+			return c - '0', true
+		case 'a' <= c && c <= 'f':
+			return c - 'a' + 10, true
+		}
+		return 0, false
+	}
+	for i := range dst {
+		hi, ok1 := nibble(s[2*i])
+		lo, ok2 := nibble(s[2*i+1])
+		if !ok1 || !ok2 {
+			return false
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return true
 }
 
 // StartChild opens a child span under this context — the carrier-based

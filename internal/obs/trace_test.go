@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -72,15 +73,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("nil trace traceparent = %q", got)
 	}
 
-	bad := []string{
-		"",
-		"00-abc-def-01",
-		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-" + strings.Repeat("0", 16) + "-01",
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // forbidden version
-		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01", // bad hex
-	}
-	for _, s := range bad {
+	for _, s := range badTraceparents {
 		if _, _, _, ok := ParseTraceparent(s); ok {
 			t.Errorf("accepted malformed traceparent %q", s)
 		}
@@ -88,6 +81,24 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if _, _, sampled, ok := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00"); !ok || sampled {
 		t.Errorf("unsampled flag misread: ok=%v sampled=%v", ok, sampled)
 	}
+	// A later version may carry further fields after a '-'.
+	if _, _, sampled, ok := ParseTraceparent("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future"); !ok || !sampled {
+		t.Errorf("future-version header refused: ok=%v sampled=%v", ok, sampled)
+	}
+}
+
+// badTraceparents are headers W3C Trace Context rejects.
+var badTraceparents = []string{
+	"",
+	"00-abc-def-01",
+	"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-" + strings.Repeat("0", 16) + "-01",
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // forbidden version
+	"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",   // bad hex
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",   // uppercase hex
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // non-hex version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // trailing bytes on version 00
+	"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",  // later version, no '-' before the rest
 }
 
 // TestHeadSampling checks the deterministic head decision: rate 1 keeps
@@ -557,4 +568,32 @@ func BenchmarkTraceSampled(b *testing.B) {
 		sp.StartChild("child").End()
 		sp.End()
 	}
+}
+
+// FuzzTraceparent: no header may panic the parser, and an accepted one
+// must carry exactly the IDs and sampled bit it decoded to.
+func FuzzTraceparent(f *testing.F) {
+	for _, s := range badTraceparents {
+		f.Add(s)
+	}
+	_, tr := newTestTracer(TraceConfig{Seed: 3, KeepRate: 1})
+	f.Add(tr.StartTrace("op").Ctx().Traceparent())
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future")
+	f.Fuzz(func(t *testing.T, s string) {
+		tid, sid, sampled, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if got, want := s[3:52], tid.String()+"-"+sid.String(); got != want {
+			t.Fatalf("%q: IDs %q decode to %q", s, got, want)
+		}
+		flags, err := strconv.ParseUint(s[53:55], 16, 8)
+		if err != nil {
+			t.Fatalf("%q accepted with flags %q: %v", s, s[53:55], err)
+		}
+		if sampled != (flags&1 != 0) {
+			t.Fatalf("%q: sampled = %v, flags %#x", s, sampled, flags)
+		}
+	})
 }

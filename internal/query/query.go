@@ -8,7 +8,7 @@
 // the streaming pass never materializes it.
 //
 // The engine leans on two layers built for it: snapshot.Scan delivers
-// v3 shards in file order with detection mapped onto the decode pool,
+// shards in file order with detection mapped onto the decode pool,
 // and report.Accumulator folds partials in shard order, which makes the
 // streamed Results bit-identical to report.AnalyzeN over the same data
 // at every worker count.
@@ -18,14 +18,10 @@
 // without decompression, the orphan-details section is always skipped
 // (no bundle record can reference an orphan, by construction), and
 // SkipExtended additionally drops the length-4/5 section for queries
-// that only need the paper's length-3 economy. Older containers (v1
-// gob, v2 sharded) have no pushdown metadata; they fall back to a full
-// load plus the in-memory pass, so every snapshot ever written stays
-// queryable through one entry point.
+// that only need the paper's length-3 economy.
 package query
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -79,14 +75,6 @@ type Options struct {
 // Stats describes how a query executed — what was scanned, what the
 // planner skipped, and the memory high-water of the pass.
 type Stats struct {
-	// Format is the container version encountered (1 = gzip/gob,
-	// 2 = sharded v2, 3 = streaming v3).
-	Format int
-
-	// Streamed is true when the out-of-core path ran; false means an
-	// older container forced the full-load fallback.
-	Streamed bool
-
 	ShardsScanned int   // shards decompressed and decoded
 	ShardsPruned  int   // shards skipped by pushdown
 	BytesDecoded  int64 // uncompressed bytes that were decoded
@@ -114,9 +102,8 @@ func RunFile(path string, opts Options) (*report.Results, *Stats, error) {
 	return Run(f, opts)
 }
 
-// Run sniffs the container version on r and executes the query: the
-// bounded-memory streaming pass for v3 snapshots, the full-load
-// fallback for anything older.
+// Run executes the query as one bounded-memory streaming pass over the
+// snapshot on r.
 func Run(r io.Reader, opts Options) (*report.Results, *Stats, error) {
 	// A reversed range would silently select nothing (every Contains
 	// check fails and every shard prunes); refuse it loudly instead —
@@ -125,71 +112,9 @@ func Run(r io.Reader, opts Options) (*report.Results, *Stats, error) {
 		return nil, nil, fmt.Errorf("query: reversed day range %d:%d (lo > hi; did you swap the bounds?)",
 			opts.Days.Lo, opts.Days.Hi)
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	version, err := snapshot.Sniff(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &Stats{Format: version}
-	if version < 3 {
-		res, err := runResident(br, opts, st)
-		return res, st, err
-	}
-	st.Streamed = true
-	res, err := runStreaming(br, opts, st)
+	st := &Stats{}
+	res, err := runStreaming(r, opts, st)
 	return res, st, err
-}
-
-// runResident is the fallback for containers without pushdown metadata:
-// materialize the dataset, then run the in-memory pass over it.
-func runResident(br *bufio.Reader, opts Options, st *Stats) (*report.Results, error) {
-	data, err := collector.LoadDatasetObs(br, 1, opts.Workers, opts.Reg)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Days != nil {
-		data = restrictDataset(data, *opts.Days)
-	}
-	if opts.SkipExtended {
-		data.Long = nil
-	}
-	det := opts.Detector
-	if det == nil {
-		det = core.NewDefaultDetector()
-	}
-	res := report.AnalyzeObs(data, det, opts.SOLPriceUSD, opts.Workers, opts.Reg)
-	st.PeakHeapBytes = liveHeap()
-	return res, nil
-}
-
-// restrictDataset applies a day range to a resident dataset, producing
-// exactly what the streaming pass computes over the same range: records
-// and day aggregates filtered, collection total recomputed from the
-// surviving days, duplicates and tip histograms left global.
-func restrictDataset(data *collector.Dataset, days DayRange) *collector.Dataset {
-	out := collector.NewDataset(data.Clock, 1)
-	out.Duplicates = data.Duplicates
-	out.TipsLen1 = data.TipsLen1
-	out.TipsLen3 = data.TipsLen3
-	out.Details = data.Details
-	for d, agg := range data.Days {
-		if days.Contains(d) {
-			out.Days[d] = agg
-			out.Collected += agg.Bundles
-		}
-	}
-	keep := func(recs []jito.BundleRecord) []jito.BundleRecord {
-		var kept []jito.BundleRecord
-		for i := range recs {
-			if days.Contains(data.Clock.DayOf(recs[i].Slot)) {
-				kept = append(kept, recs[i])
-			}
-		}
-		return kept
-	}
-	out.Len3 = keep(data.Len3)
-	out.Long = keep(data.Long)
-	return out
 }
 
 // shardResult is one shard's detection output, computed on the decode
@@ -205,8 +130,8 @@ type shardResult struct {
 // fraction of a percent of scan time.
 const heapSampleEvery = 32
 
-// runStreaming executes the out-of-core pass over a v3 snapshot.
-func runStreaming(br *bufio.Reader, opts Options, st *Stats) (*report.Results, error) {
+// runStreaming executes the out-of-core pass.
+func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error) {
 	reg := opts.Reg
 	det := opts.Detector
 	if det == nil {
@@ -279,7 +204,7 @@ func runStreaming(br *bufio.Reader, opts Options, st *Stats) (*report.Results, e
 
 	span := reg.StartSpan("query_scan")
 	sampleHeap()
-	err := snapshot.Scan(br, scanOpts, func(p *snapshot.Prelude) error {
+	err := snapshot.Scan(r, scanOpts, func(p *snapshot.Prelude) error {
 		a = newAccumulator(p, det, opts)
 		return nil
 	}, func(sec snapshot.Section, m snapshot.ShardMeta, _ *snapshot.Batch, mapped any) error {

@@ -2,15 +2,13 @@ package query
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,9 +19,7 @@ import (
 	"jitomev/internal/explorer"
 	"jitomev/internal/jito"
 	"jitomev/internal/report"
-	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
-	"jitomev/internal/stats"
 	"jitomev/internal/workload"
 )
 
@@ -77,9 +73,6 @@ func TestStreamingMatchesResident(t *testing.T) {
 		res, st, err := Run(bytes.NewReader(blob), Options{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !st.Streamed || st.Format != 3 {
-			t.Fatalf("workers=%d: expected streamed v3 execution, got %+v", w, st)
 		}
 		if st.ShardsScanned == 0 {
 			t.Fatalf("workers=%d: no shards scanned", w)
@@ -181,6 +174,36 @@ func synthDataset(seed int64, nLen3, days int, detailFrac float64, orphans int) 
 	return data
 }
 
+// restrictDataset applies a day range to a resident dataset, producing
+// exactly what the streaming pass computes over the same range: records
+// and day aggregates filtered, collection total recomputed from the
+// surviving days, duplicates and tip histograms left global.
+func restrictDataset(data *collector.Dataset, days DayRange) *collector.Dataset {
+	out := collector.NewDataset(data.Clock, 1)
+	out.Duplicates = data.Duplicates
+	out.TipsLen1 = data.TipsLen1
+	out.TipsLen3 = data.TipsLen3
+	out.Details = data.Details
+	for d, agg := range data.Days {
+		if days.Contains(d) {
+			out.Days[d] = agg
+			out.Collected += agg.Bundles
+		}
+	}
+	keep := func(recs []jito.BundleRecord) []jito.BundleRecord {
+		var kept []jito.BundleRecord
+		for i := range recs {
+			if days.Contains(data.Clock.DayOf(recs[i].Slot)) {
+				kept = append(kept, recs[i])
+			}
+		}
+		return kept
+	}
+	out.Len3 = keep(data.Len3)
+	out.Long = keep(data.Long)
+	return out
+}
+
 // TestDayRangePushdown checks the ranged query against the resident
 // reference over an explicitly restricted dataset, and that the planner
 // actually skips out-of-range and orphan shards without decoding them.
@@ -237,128 +260,6 @@ func TestSkipExtended(t *testing.T) {
 	}
 }
 
-// TestFallbackV2 checks that a v2 container routes through the full-load
-// path and still produces the exact Results.
-func TestFallbackV2(t *testing.T) {
-	data := buildStudyDataset(t)
-	snap := &snapshot.Snapshot{
-		Genesis:    data.Clock.Genesis.UnixNano(),
-		Days:       data.Days,
-		TipsLen1:   data.TipsLen1,
-		TipsLen3:   data.TipsLen3,
-		Len3:       data.Len3,
-		Long:       data.Long,
-		Details:    data.Details,
-		Collected:  data.Collected,
-		Duplicates: data.Duplicates,
-	}
-	var buf bytes.Buffer
-	if err := snapshot.WriteV2(&buf, snap, 0); err != nil {
-		t.Fatal(err)
-	}
-	ref := report.AnalyzeN(data, core.NewDefaultDetector(), 0, 1)
-	res, st, err := Run(&buf, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Streamed || st.Format != 2 {
-		t.Fatalf("expected resident v2 fallback, got %+v", st)
-	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("v2 fallback Results diverge")
-		diffResults(t, ref, res)
-	}
-}
-
-// v1Snapshot mirrors the legacy gob layout field for field (gob matches
-// by name), letting the test produce a v1 stream without an encoder in
-// the product.
-type v1Snapshot struct {
-	Version  int
-	Genesis  int64
-	Days     map[int]*collector.DayAgg
-	TipsLen1 *stats.LogHistogram
-	TipsLen3 *stats.LogHistogram
-	Len3     []jito.BundleRecord
-	Long     []jito.BundleRecord
-	Details  map[solana.Signature]jito.TxDetail
-
-	Collected  uint64
-	Duplicates uint64
-}
-
-// TestFallbackV1 checks the same for the original gzip+gob stream.
-func TestFallbackV1(t *testing.T) {
-	data := buildStudyDataset(t)
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	err := gob.NewEncoder(zw).Encode(&v1Snapshot{
-		Version:    1,
-		Genesis:    data.Clock.Genesis.UnixNano(),
-		Days:       data.Days,
-		TipsLen1:   data.TipsLen1,
-		TipsLen3:   data.TipsLen3,
-		Len3:       data.Len3,
-		Long:       data.Long,
-		Details:    data.Details,
-		Collected:  data.Collected,
-		Duplicates: data.Duplicates,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ref := report.AnalyzeN(data, core.NewDefaultDetector(), 0, 1)
-	res, st, err := Run(&buf, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Streamed || st.Format != 1 {
-		t.Fatalf("expected resident v1 fallback, got %+v", st)
-	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("v1 fallback Results diverge")
-		diffResults(t, ref, res)
-	}
-}
-
-// TestRangedFallbackMatchesStreaming pins one semantic across paths: a
-// day-restricted query must answer identically whether the container
-// streamed or fell back to a full load.
-func TestRangedFallbackMatchesStreaming(t *testing.T) {
-	data := buildStudyDataset(t)
-	days := DayRange{Lo: 1, Hi: 3}
-	streamRes, _, err := Run(bytes.NewReader(saveV3(t, data)), Options{Workers: 4, Days: &days})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := &snapshot.Snapshot{
-		Genesis:    data.Clock.Genesis.UnixNano(),
-		Days:       data.Days,
-		TipsLen1:   data.TipsLen1,
-		TipsLen3:   data.TipsLen3,
-		Len3:       data.Len3,
-		Long:       data.Long,
-		Details:    data.Details,
-		Collected:  data.Collected,
-		Duplicates: data.Duplicates,
-	}
-	var buf bytes.Buffer
-	if err := snapshot.WriteV2(&buf, snap, 0); err != nil {
-		t.Fatal(err)
-	}
-	residentRes, _, err := Run(&buf, Options{Workers: 4, Days: &days})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamRes, residentRes) {
-		t.Error("ranged query answers differently across v3-stream and v2-fallback paths")
-		diffResults(t, streamRes, residentRes)
-	}
-}
-
 // writeStudyFile generates a study of the given length and saves its v3
 // snapshot to disk, returning only the path — the resident dataset is
 // released before the caller queries, so the measurement sees streaming
@@ -403,9 +304,6 @@ func TestBoundedMemory(t *testing.T) {
 		_, st, err := RunFile(path, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !st.Streamed {
-			t.Fatal("expected streaming execution")
 		}
 		if st.PeakHeapBytes == 0 {
 			t.Fatal("no heap samples recorded")

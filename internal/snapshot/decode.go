@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"jitomev/internal/jito"
-	"jitomev/internal/parallel"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
@@ -25,8 +24,8 @@ const maxShardBytes = 1 << 28
 // before a buffer is sized from the claim.
 const maxDeflateRatio = 1032
 
-// maxReserve caps the records or keys a section header's item count may
-// reserve up front. The count is only a claim until the shards behind it
+// maxReserve caps the records a section header's item count may reserve
+// up front. The count is only a claim until the shards behind it
 // are read; larger honest sections grow past the cap as they decode.
 // Maps are never sized from a claim.
 const maxReserve = 1 << 20
@@ -114,98 +113,25 @@ func readFrame(br *bufio.Reader, idx, itemsLeft int) (frameHeader, []byte, error
 	return h, blob, nil
 }
 
-// forEachShard reads shardCount frames from br in order, decompressing
-// and decoding them on a bounded pool of workers: the serial reader
-// stays ahead of the pool by at most ~2×workers shards, so peak
-// transient memory is bounded by the shard size, not the section.
-// handle(base, items, raw) is invoked once per shard with base = the sum
-// of preceding shards' items; it must be safe for concurrent calls on
-// distinct shards.
-func forEachShard(br *bufio.Reader, shardCount, totalItems, workers int, m *snapObs, handle func(base, items int, raw []byte) error) error {
-	workers = parallel.Workers(workers)
-	if workers == 1 || shardCount <= 1 {
-		base := 0
-		for i := 0; i < shardCount; i++ {
-			h, blob, err := readFrame(br, i, totalItems-base)
-			if err != nil {
-				return err
-			}
-			m.frame(h.rawLen, h.compLen)
-			raw := make([]byte, h.rawLen)
-			if err := decompressShard(raw, blob); err != nil {
-				return corruptShard(i, err)
-			}
-			if err := handle(base, h.items, raw); err != nil {
-				return corruptShard(i, err)
-			}
-			base += h.items
-		}
-		if base != totalItems {
-			return corrupt("section holds %d items, header declared %d", base, totalItems)
-		}
-		return nil
-	}
-
-	type job struct {
-		idx  int
-		base int
-		h    frameHeader
-		blob []byte
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	jobs := make(chan job, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed() {
-					continue
-				}
-				raw := make([]byte, j.h.rawLen)
-				err := decompressShard(raw, j.blob)
-				if err == nil {
-					err = handle(j.base, j.h.items, raw)
-				}
-				if err != nil {
-					fail(corruptShard(j.idx, err))
-				}
-			}
-		}()
-	}
-
+// forEachShard reads shardCount plain frames from br in order,
+// decompressing and decoding each before the next is read.
+// handle(items, raw) is invoked once per shard.
+func forEachShard(br *bufio.Reader, shardCount, totalItems int, m *snapObs, handle func(items int, raw []byte) error) error {
 	base := 0
-	for i := 0; i < shardCount && !failed(); i++ {
+	for i := 0; i < shardCount; i++ {
 		h, blob, err := readFrame(br, i, totalItems-base)
 		if err != nil {
-			fail(err)
-			break
+			return err
 		}
 		m.frame(h.rawLen, h.compLen)
-		jobs <- job{idx: i, base: base, h: h, blob: blob}
+		raw := make([]byte, h.rawLen)
+		if err := decompressShard(raw, blob); err != nil {
+			return corruptShard(i, err)
+		}
+		if err := handle(h.items, raw); err != nil {
+			return corruptShard(i, err)
+		}
 		base += h.items
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
 	}
 	if base != totalItems {
 		return corrupt("section holds %d items, header declared %d", base, totalItems)
@@ -213,9 +139,8 @@ func forEachShard(br *bufio.Reader, shardCount, totalItems, workers int, m *snap
 	return nil
 }
 
-// Read decodes a v2 or v3 snapshot from r, sniffing the version from
-// the magic. workers bounds the shard decompress/decode pool (0 = all
-// cores, 1 = serial).
+// Read decodes a snapshot from r. workers bounds the shard
+// decompress/decode pool (0 = all cores, 1 = serial).
 func Read(r io.Reader, workers int) (*Snapshot, error) {
 	return read(r, workers, &snapObs{})
 }
@@ -225,143 +150,24 @@ func read(r io.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corrupt("magic: %v", err)
+	if err := readMagic(br); err != nil {
+		return nil, err
 	}
-	switch string(magic[:]) {
-	case Magic:
-		return readV2(br, workers, m)
-	case MagicV3:
-		return readV3(br, workers, m)
-	default:
-		return nil, corrupt("bad magic %q (not a snapshot container)", magic[:])
-	}
+	return readV3(br, workers, m)
 }
 
-// readV2 decodes the superseded v2 body (everything after the magic).
-func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
-	s := &Snapshot{}
-	var interned []solana.Pubkey
-	seen := make(map[byte]bool)
-	for {
-		id, err := br.ReadByte()
-		if err != nil {
-			return nil, corrupt("section id: %v", err)
-		}
-		if id == secEnd {
-			break
-		}
-		if seen[id] {
-			return nil, corrupt("duplicate section %#x", id)
-		}
-		seen[id] = true
-
-		shards64, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("shard count: %v", err)
-		}
-		total64, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("item count: %v", err)
-		}
-		if shards64 > 1<<24 || total64 > 1<<40 {
-			return nil, corrupt("implausible section shape %d/%d", shards64, total64)
-		}
-		shards, total := int(shards64), int(total64)
-
-		switch id {
-		case secMeta:
-			err = forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
-				if len(raw) != 24 {
-					return corrupt("meta payload %d bytes, want 24", len(raw))
-				}
-				s.Genesis = int64(binary.LittleEndian.Uint64(raw[0:]))
-				s.Collected = binary.LittleEndian.Uint64(raw[8:])
-				s.Duplicates = binary.LittleEndian.Uint64(raw[16:])
-				return nil
-			})
-		case secDays:
-			if total > 0 {
-				s.Days = make(map[int]*DayAgg)
-			}
-			err = forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
-				return decodeDays(s.Days, items, raw)
-			})
-		case secTipsLen1:
-			s.TipsLen1, err = readHistogram(br, shards, total, m)
-		case secTipsLen3:
-			s.TipsLen3, err = readHistogram(br, shards, total, m)
-		case secInterns:
-			interned, err = readIndexed(br, shards, total, workers, m, func(dst []solana.Pubkey, raw []byte) error {
-				if len(raw) != 32*len(dst) {
-					return corrupt("intern shard %d bytes for %d keys", len(raw), len(dst))
-				}
-				for i := range dst {
-					copy(dst[i][:], raw[32*i:])
-				}
-				return nil
-			})
-		case secLen3, secLong:
-			var recs []jito.BundleRecord
-			recs, err = readIndexed(br, shards, total, workers, m, func(dst []jito.BundleRecord, raw []byte) error {
-				return decodeRecordShard(dst, raw, new(decodeArena))
-			})
-			if id == secLen3 {
-				s.Len3 = recs
-			} else {
-				s.Long = recs
-			}
-		case secDetails:
-			s.Details = make(map[solana.Signature]jito.TxDetail)
-			var mu sync.Mutex
-			err = forEachShard(br, shards, total, workers, m, func(_, items int, raw []byte) error {
-				return decodeDetailShard(s.Details, &mu, items, raw, interned, new(decodeArena))
-			})
-		default:
-			return nil, corrupt("unknown section %#x", id)
-		}
-		if err != nil {
-			return nil, err
-		}
+// readMagic consumes the container magic. Any other head — a retired
+// layout's magic, a foreign file, a short read — is ErrCorrupt naming
+// what was found.
+func readMagic(br *bufio.Reader) error {
+	var magic [len(MagicV3)]byte
+	if n, err := io.ReadFull(br, magic[:]); err != nil {
+		return corrupt("magic %q: %v", magic[:n], err)
 	}
-	// The writer emits every section unconditionally (empty sections have
-	// zero shards), so a missing one means the stream was cut at a section
-	// boundary — a truncation shape that would otherwise load as a
-	// silently smaller dataset if the next byte happened to read as 0xFF.
-	for _, id := range []byte{secMeta, secDays, secTipsLen1, secTipsLen3,
-		secInterns, secLen3, secLong, secDetails} {
-		if !seen[id] {
-			return nil, corrupt("missing section %#x (truncated at a section boundary?)", id)
-		}
+	if string(magic[:]) != MagicV3 {
+		return corrupt("bad magic %q, want %q (not a snapshot container, or a retired layout)", magic[:], MagicV3)
 	}
-	return s, nil
-}
-
-// readIndexed decodes a v2 section whose shards fill consecutive ranges
-// of one slice (nil when the section is empty). A total within
-// maxReserve is allocated up front and filled in parallel; a larger
-// claim is not trusted, so the slice grows shard by shard on one worker,
-// each shard bounded by its real payload.
-func readIndexed[T any](br *bufio.Reader, shards, total, workers int, m *snapObs, decode func(dst []T, raw []byte) error) ([]T, error) {
-	var out []T
-	if total <= maxReserve {
-		if total > 0 {
-			out = make([]T, total)
-		}
-	} else {
-		workers = 1
-	}
-	err := forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
-		if base+items > len(out) {
-			if items > len(raw) {
-				return corrupt("%d items exceed a %d-byte shard", items, len(raw))
-			}
-			out = append(out, make([]T, base+items-len(out))...)
-		}
-		return decode(out[base:base+items], raw)
-	})
-	return out, err
+	return nil
 }
 
 // readHistogram decodes a histogram section: 0 shards means nil.
@@ -370,7 +176,7 @@ func readHistogram(br *bufio.Reader, shards, total int, m *snapObs) (*stats.LogH
 		return nil, nil
 	}
 	h := new(stats.LogHistogram)
-	err := forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
+	err := forEachShard(br, shards, total, m, func(_ int, raw []byte) error {
 		return h.UnmarshalBinary(raw)
 	})
 	if err != nil {
@@ -444,19 +250,9 @@ func decodeDays(dst map[int]*DayAgg, items int, raw []byte) error {
 	return c.done()
 }
 
-// decodeRecordShard parses a columnar record shard into dst (one entry
-// per record).
-func decodeRecordShard(dst []jito.BundleRecord, raw []byte, a *decodeArena) error {
-	c := varintCursor{raw: raw}
-	if err := decodeRecordColumns(dst, &c, a); err != nil {
-		return err
-	}
-	return c.done()
-}
-
 // decodeRecordColumns parses the record columns at the cursor into dst
-// (one entry per record), leaving the cursor just past them — v3 bundle
-// shards continue decoding detail columns from there. Signatures for the
+// (one entry per record), leaving the cursor just past them — bundle
+// shards continue decoding their dictionary and details from there. Signatures for the
 // whole shard share one backing array, drawn from a.
 func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor, a *decodeArena) error {
 	n := len(dst)
@@ -521,38 +317,12 @@ func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor, a *decodeAren
 	return nil
 }
 
-// decodeDetailShard parses a detail shard and inserts the entries into
-// dst under mu. Parsing — the expensive part — runs outside the lock.
-func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, items int, raw []byte, interned []solana.Pubkey, a *decodeArena) error {
-	c := varintCursor{raw: raw}
-	sigCol, err := c.take(64 * items)
-	if err != nil {
-		return err
-	}
-	dets := make([]jito.TxDetail, items)
-	for i := range dets {
-		copy(dets[i].Sig[:], sigCol[64*i:])
-	}
-	if err := decodeDetailColumns(dets, &c, interned, a); err != nil {
-		return err
-	}
-	if err := c.done(); err != nil {
-		return err
-	}
-	mu.Lock()
-	for i := range dets {
-		dst[dets[i].Sig] = dets[i]
-	}
-	mu.Unlock()
-	return nil
-}
-
 // decodeDetailColumns parses the detail columns at the cursor into dets
 // (whose length fixes the item count): signer index, slot, flags, tip,
-// delta counts, then the ragged delta triples — the layout shared by the
-// v2 details section and the v3 bundle/orphan shards. Pubkey indices
-// resolve against interned (the global v2 table or a v3 shard-local
-// dictionary). The delta counts and the TokenDelta backing come from a.
+// delta counts, then the ragged delta triples — the layout shared by
+// bundle and orphan shards. Pubkey indices resolve against interned,
+// the shard's local dictionary. The delta counts and the TokenDelta
+// backing come from a.
 func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solana.Pubkey, a *decodeArena) error {
 	items := len(dets)
 	var err error

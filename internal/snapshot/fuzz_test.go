@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,13 +10,10 @@ import (
 	"jitomev/internal/jito"
 )
 
-// fuzzSeed encodes a small snapshot with aligned details and token
-// deltas. As v3 it holds two len-3 shards, a long shard and an orphan
-// shard.
-func fuzzSeed(tb testing.TB, write func(io.Writer, *Snapshot, int) error) []byte {
-	s := alignedSnapshot(71, bundleShardSize+40, 3, 0.8)
+// fuzzSeed encodes s.
+func fuzzSeed(tb testing.TB, s *Snapshot) []byte {
 	var buf bytes.Buffer
-	if err := write(&buf, s, 1); err != nil {
+	if err := Write(&buf, s, 1); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -52,19 +48,20 @@ func scanCopies(data []byte, workers int, mapped bool) ([]shardCopy, error) {
 	return out, err
 }
 
-// FuzzScan drives the v3 reader over arbitrary bytes: Scan with and
+// FuzzScan drives the reader over arbitrary bytes: Scan with and
 // without Map, and Read. No input may panic, every rejection is
 // ErrCorrupt, and an accepted input scans to identical batches twice in
 // a row — the second time on recycled decode memory. The corpus is a
-// valid v3 file and its truncations, plus the same data as v2 so
-// mutations also reach Read's v2 decoder.
+// small snapshot with aligned details and token deltas (two len-3
+// shards, a long shard and an orphan shard) and its truncations, plus
+// an empty snapshot (every section present with zero shards).
 func FuzzScan(f *testing.F) {
-	good := fuzzSeed(f, Write)
+	good := fuzzSeed(f, alignedSnapshot(71, bundleShardSize+40, 3, 0.8))
 	f.Add(good)
 	for _, n := range []int{0, 4, len(MagicV3), len(MagicV3) + 1, 64, 512, len(good) / 3, len(good) / 2, len(good) - 9, len(good) - 1} {
 		f.Add(good[:n])
 	}
-	f.Add(fuzzSeed(f, WriteV2))
+	f.Add(fuzzSeed(f, &Snapshot{Genesis: 42}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		isCorrupt := func(what string, err error) bool {
 			if err != nil && !errors.Is(err, ErrCorrupt) {

@@ -139,30 +139,21 @@ func scanMapped(t *testing.T, data []byte, workers int) []shardCopy {
 }
 
 // TestRecycledDecodeMatchesFresh: scans that reuse pooled decode memory
-// must deliver exactly what a fresh decode does, and a loaded snapshot
-// must never share memory with later scans. The reference is the v2
-// decode of the same snapshot, whose decoders allocate every slice anew.
+// must deliver exactly what was written, and a loaded snapshot must
+// never share memory with later scans. The reference is the written
+// snapshot s itself, which no decode has touched.
 func TestRecycledDecodeMatchesFresh(t *testing.T) {
 	s := recycleSnapshot(61)
 	other := alignedSnapshot(62, 2*bundleShardSize+99, 5, 0.9)
-	encode := func(s *Snapshot, v2 bool) []byte {
+	encode := func(s *Snapshot) []byte {
 		var buf bytes.Buffer
-		write := Write
-		if v2 {
-			write = WriteV2
-		}
-		if err := write(&buf, s, 0); err != nil {
+		if err := Write(&buf, s, 0); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	data, otherData := encode(s, false), encode(other, false)
-	fresh, err := Read(bytes.NewReader(encode(s, true)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEqual(t, s, fresh)
-	want := expectedShards(fresh)
+	data, otherData := encode(s), encode(other)
+	want := expectedShards(s)
 
 	// Fill the pool with arenas that held other data, then load.
 	scanMapped(t, otherData, 4)
@@ -173,21 +164,21 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for pass := 0; pass < 2; pass++ {
 			if got := scanMapped(t, data, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d pass %d: Map scan diverges from a fresh decode", workers, pass)
+				t.Fatalf("workers=%d pass %d: Map scan diverges from the written snapshot", workers, pass)
 			}
 		}
 		got, err := Read(bytes.NewReader(data), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRecords(t, fresh, got)
+		assertSameRecords(t, s, got)
 		scanMapped(t, otherData, workers)
 		if _, err := Read(bytes.NewReader(otherData), workers); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The first load outlived every scan and load above.
-	assertSameRecords(t, fresh, loaded)
+	assertSameRecords(t, s, loaded)
 }
 
 // assertSameRecords compares records and details strictly: a nil TxIDs
@@ -195,10 +186,10 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 func assertSameRecords(t *testing.T, want, got *Snapshot) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Len3, got.Len3) || !reflect.DeepEqual(want.Long, got.Long) {
-		t.Fatal("records diverge from a fresh decode")
+		t.Fatal("records diverge from the written snapshot")
 	}
 	if !reflect.DeepEqual(want.Details, got.Details) {
-		t.Fatal("details diverge from a fresh decode")
+		t.Fatal("details diverge from the written snapshot")
 	}
 }
 

@@ -15,14 +15,14 @@ import (
 	"jitomev/internal/stats"
 )
 
-// Streaming scan over a v3 snapshot: the out-of-core read path. The
+// Streaming scan over a snapshot: the out-of-core read path. The
 // caller sees the prelude (every aggregate stored ahead of the bundle
 // sections) once, then one fold call per shard in file order; shard
 // payloads are decompressed and decoded on a bounded worker pool while
 // frames are read serially, so peak live memory is proportional to
 // workers × shard size and independent of the dataset.
 
-// Prelude is everything a v3 snapshot stores ahead of the streaming
+// Prelude is everything a snapshot stores ahead of the streaming
 // sections — small aggregates a bounded-memory pass can hold whole.
 type Prelude struct {
 	Genesis    int64 // UnixNano of the chain clock genesis
@@ -110,53 +110,22 @@ type ScanOptions struct {
 	SectionStart func(sec Section, shards, items int) error
 }
 
-// Scan streams a v3 snapshot from r: prelude once, then one fold call
-// per shard of the len3, long and orphans sections, in file order.
-// Scanning a v1/v2 stream fails with ErrCorrupt — callers wanting
-// transparent fallback should Sniff first and take the full-load path
-// for older containers.
+// Scan streams a snapshot from r: prelude once, then one fold call per
+// shard of the len3, long and orphans sections, in file order.
 func Scan(r io.Reader, opts ScanOptions, prelude func(*Prelude) error, fold ScanFold) error {
 	m := newSnapObs(opts.Reg, "scan")
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<20)
 	}
-	var magic [len(MagicV3)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return corrupt("magic: %v", err)
-	}
-	if string(magic[:]) != MagicV3 {
-		return corrupt("streaming scan needs a v3 snapshot, found magic %q", magic[:])
+	if err := readMagic(br); err != nil {
+		return err
 	}
 	return scanSections(br, &opts, m, prelude, fold)
 }
 
-// Sniff peeks at the opening bytes of br and reports the container
-// version without consuming input: 1 for the legacy gzip/gob stream, 2
-// or 3 for the sharded containers.
-func Sniff(br *bufio.Reader) (int, error) {
-	head, err := br.Peek(2)
-	if err != nil {
-		return 0, corrupt("sniffing version: %v", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		return 1, nil
-	}
-	head, err = br.Peek(len(Magic))
-	if err != nil {
-		return 0, corrupt("sniffing version: %v", err)
-	}
-	switch string(head) {
-	case Magic:
-		return 2, nil
-	case MagicV3:
-		return 3, nil
-	}
-	return 0, corrupt("unrecognized container magic %q", head)
-}
-
-// readSectionHeader consumes one section header, enforcing the v3
-// strict section order (which is also what turns a cut at a section
+// readSectionHeader consumes one section header, enforcing the strict
+// section order (which is also what turns a cut at a section
 // boundary into a loud error).
 func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err error) {
 	id, err := br.ReadByte()
@@ -164,7 +133,7 @@ func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err erro
 		return 0, 0, corrupt("section id: %v", err)
 	}
 	if id != want {
-		return 0, 0, corrupt("section %#x, want %#x (v3 sections are strictly ordered)", id, want)
+		return 0, 0, corrupt("section %#x, want %#x (sections are strictly ordered)", id, want)
 	}
 	shards64, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -180,7 +149,7 @@ func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err erro
 	return int(shards64), int(total64), nil
 }
 
-// scanSections walks the v3 body (everything after the magic).
+// scanSections walks the body (everything after the magic).
 func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn func(*Prelude) error, fold ScanFold) error {
 	p := &Prelude{}
 
@@ -188,7 +157,7 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 	if err != nil {
 		return err
 	}
-	if err := forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
+	if err := forEachShard(br, shards, total, m, func(_ int, raw []byte) error {
 		if len(raw) != 24 {
 			return corrupt("meta payload %d bytes, want 24", len(raw))
 		}
@@ -206,7 +175,7 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 	if total > 0 {
 		p.Days = make(map[int]*DayAgg)
 	}
-	if err := forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
+	if err := forEachShard(br, shards, total, m, func(items int, raw []byte) error {
 		return decodeDays(p.Days, items, raw)
 	}); err != nil {
 		return err
@@ -271,7 +240,7 @@ type scanShard struct {
 	err    error
 }
 
-// scanSection streams one v3 section: a serial read gate hands frames to
+// scanSection streams one section: a serial read gate hands frames to
 // the pool in file order (pruned frames are discarded right at the
 // gate), payloads inflate and decode concurrently, and
 // parallel.OrderedStream folds results back in strict shard order — the
@@ -462,8 +431,8 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 	return m, nil
 }
 
-// readV3 is the full-materialization read path for v3 snapshots: the
-// streaming scan with no pruning, reassembling the in-memory Snapshot.
+// readV3 is the full-materialization read path: the streaming scan with
+// no pruning, reassembling the in-memory Snapshot.
 func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	s := &Snapshot{Details: make(map[solana.Signature]jito.TxDetail)}
 	opts := ScanOptions{

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,24 +54,6 @@ func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapsh
 		s.Details[det.Sig] = det
 	}
 	return s
-}
-
-// TestWriteV2ReadBack pins the compatibility promise: v2 containers stay
-// readable even though Write now emits v3.
-func TestWriteV2ReadBack(t *testing.T) {
-	s := alignedSnapshot(21, 6000, 9, 0.9)
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, s, 0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String()[:8] != Magic {
-		t.Fatalf("WriteV2 emitted magic %q", buf.String()[:8])
-	}
-	got, err := Read(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEqual(t, s, got)
 }
 
 // TestScanRoundTrip rebuilds a snapshot from a full streaming scan and
@@ -287,17 +270,25 @@ func TestScanIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScanRejectsOlderContainers: the streaming path is v3-only; Sniff
-// is the sanctioned router for older files.
+// TestScanRejectsOlderContainers: the streaming scan reads only the
+// current container; a v2 magic in front of an otherwise valid body
+// and a v1 gzip head are both ErrCorrupt before any section is seen.
 func TestScanRejectsOlderContainers(t *testing.T) {
 	s := testSnapshot(26, 100, 50)
 	var buf bytes.Buffer
-	if err := WriteV2(&buf, s, 1); err != nil {
+	if err := Write(&buf, s, 1); err != nil {
 		t.Fatal(err)
 	}
-	err := Scan(&buf, ScanOptions{}, nil, func(Section, ShardMeta, *Batch, any) error { return nil })
-	if err == nil {
-		t.Fatal("scan of a v2 container succeeded")
+	v2 := append([]byte("jitosnp2"), buf.Bytes()[len(MagicV3):]...)
+	v1 := []byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff}
+	for name, data := range map[string][]byte{"v2": v2, "v1": v1} {
+		err := Scan(bytes.NewReader(data), ScanOptions{}, nil, func(Section, ShardMeta, *Batch, any) error {
+			t.Errorf("%s: scan delivered a section", name)
+			return nil
+		})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s container: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -176,7 +176,7 @@ func TestRoundTripMultiShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large round trip")
 	}
-	s := testSnapshot(2, 3*recordShardSize+17, 2*detailShardSize+5)
+	s := testSnapshot(2, 6*bundleShardSize+17, 2*orphanShardSize+5)
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestRoundTripMultiShard(t *testing.T) {
 }
 
 func TestWriteByteIdenticalAcrossWorkers(t *testing.T) {
-	s := testSnapshot(3, 2*recordShardSize+100, detailShardSize+50)
+	s := testSnapshot(3, 4*bundleShardSize+100, orphanShardSize+50)
 	var ref bytes.Buffer
 	if err := Write(&ref, s, 1); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,6 @@ func TestReadRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad magic":     append([]byte("jitosnpX"), good[8:]...),
-		"v2 magic":      append([]byte("jitosnp2"), good[8:]...),
 		"truncated":     good[:len(good)/2],
 		"no terminator": good[:len(good)-1],
 	}
@@ -264,7 +263,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 func TestReadRejectsHostileLengths(t *testing.T) {
 	// A frame claiming a multi-GB shard must fail before allocating.
-	data := []byte(Magic)
+	data := []byte(MagicV3)
 	data = append(data, secMeta)
 	data = appendUvarint(data, 1)     // one shard
 	data = appendUvarint(data, 1)     // one item
@@ -282,27 +281,23 @@ func TestReadRejectsHostileLengths(t *testing.T) {
 		d = append(d, id)
 		return appendUvarint(appendUvarint(d, shards), items)
 	}
-	prelude := func(magic string) []byte {
+	prelude := func() []byte {
 		meta := compressShard(make([]byte, 24))
-		d := section([]byte(magic), secMeta, 1, 1)
+		d := section([]byte(MagicV3), secMeta, 1, 1)
 		d = appendUvarint(appendUvarint(appendUvarint(d, 1), 24), uint64(len(meta)))
 		return append(d, meta...)
 	}
-	emptyHeader := prelude(MagicV3)
+	emptyHeader := prelude()
 	for _, id := range []byte{secDays, secTipsLen1, secTipsLen3} {
 		emptyHeader = section(emptyHeader, id, 0, 0)
 	}
 	const claim = 1 << 38
 	cases := map[string][]byte{
-		"v3 days":          section(prelude(MagicV3), secDays, 1, claim),
-		"v3 len-3 records": section(emptyHeader, secBundles3, 1, claim),
-		"v2 days":          section(prelude(Magic), secDays, 1, claim),
-		"v2 interns":       section(prelude(Magic), secInterns, 1, claim),
-		"v2 records":       section(prelude(Magic), secLen3, 1, claim),
-		"v2 details":       section(prelude(Magic), secDetails, 1, claim),
+		"days":          section(prelude(), secDays, 1, claim),
+		"len-3 records": section(emptyHeader, secBundles3, 1, claim),
 	}
 	// A frame whose blob cannot inflate to the raw length it claims.
-	inflate := section(prelude(Magic), secDays, 1, 1)
+	inflate := section(prelude(), secDays, 1, 1)
 	inflate = appendUvarint(appendUvarint(appendUvarint(inflate, 1), 1<<20), 10)
 	cases["raw length past deflate's ratio"] = append(inflate, make([]byte, 10)...)
 	for name, data := range cases {

@@ -12,13 +12,12 @@ import (
 	"jitomev/internal/solana"
 )
 
-// v3 encode: self-contained bundle shards. Each shard carries its
-// records, the details aligned to them, and a local pubkey dictionary,
-// so a streaming reader can decode → analyze → discard one shard at a
-// time with no dataset-sized state — the property the v2 layout (global
-// intern table, globally signature-sorted details) could not offer.
+// Encode: self-contained bundle shards. Each shard carries its records,
+// the details aligned to them, and a local pubkey dictionary, so a
+// streaming reader can decode → analyze → discard one shard at a time
+// with no dataset-sized state.
 
-// write emits the v3 container: the v2 header sections, then the three
+// write emits the container: the header sections, then the three
 // streaming sections with pushdown metadata on every frame.
 func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw := &writer{w: bufio.NewWriterSize(w, 1<<16), m: m}
@@ -30,8 +29,8 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw.bundleSection(secBundlesLong, s.Long, s.Details, clock, workers)
 
 	// Orphans: details no retained record references, kept so the details
-	// map round-trips exactly. Signature-sorted like the v2 details
-	// section, which makes the shard split deterministic.
+	// map round-trips exactly. Signature-sorted, which makes the shard
+	// split deterministic.
 	referenced := make(map[solana.Signature]bool, 3*len(s.Len3))
 	mark := func(recs []jito.BundleRecord) {
 		for i := range recs {
@@ -196,8 +195,7 @@ func encodeBundleShard(recs []jito.BundleRecord, details map[solana.Signature]ji
 }
 
 // encodeOrphanShard lays out unreferenced details: local dictionary,
-// signature column, detail columns — the v2 detail shard carrying its
-// own interns.
+// signature column, detail columns.
 func encodeOrphanShard(sigs []solana.Signature, details map[solana.Signature]jito.TxDetail, clock solana.Clock) ([]byte, ShardMeta, error) {
 	var meta ShardMeta
 	meta.Items = len(sigs)
@@ -259,8 +257,7 @@ func (b *Batch) AppendDetails(dst []jito.TxDetail, i int) ([]jito.TxDetail, bool
 // itself, its records and details, and the decode scratch. The scanner
 // draws arenas from a pool and hands them back once a shard is consumed
 // (after Map, or after a full load has copied the shard out), so a warm
-// scan allocates per shard, not per record. A fresh arena makes every
-// slice a new allocation — what the v2 decoders use.
+// scan allocates per shard, not per record.
 type decodeArena struct {
 	batch   Batch
 	recs    []jito.BundleRecord
