@@ -43,20 +43,26 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
 
-# fuzz runs each native fuzz target briefly: the fixed-width base58
-# paths against the generic reference, and the explorer wire codec's
-# decoders against encoding/json (accept/reject, decoded values, fault
-# class), and the recent-page handler's limit/before query strings
-# (200 or 400, never a panic; a 200 body is the store's page), and the
-# snapshot reader (Scan with and without Map, and Read: never a panic,
-# only ErrCorrupt, and a second scan on recycled decode memory equal to
-# the first), and the W3C traceparent parser (an accepted header carries
-# exactly the IDs and sampled bit it decoded to), and the fleet /leasez
-# operations (arbitrary POST bodies: never a panic, only 200/400/404/409).
+# fuzz runs each of the nine native fuzz targets briefly: the
+# fixed-width base58 paths against the generic reference, and the
+# explorer wire codec's decoders against encoding/json (accept/reject,
+# decoded values, fault class), and the recent-page handler's
+# limit/before query strings (200 or 400, never a panic; a 200 body is
+# the store's page), and the snapshot reader (Scan with and without Map,
+# and Read: never a panic, only ErrCorrupt, a second scan on recycled
+# decode memory equal to the first, and a loaded detail set equal to the
+# batches' details taken in scan order, the last write winning), and the
+# W3C traceparent parser (an accepted header carries exactly the IDs and
+# sampled bit it decoded to), and the fleet /leasez operations
+# (arbitrary POST bodies: never a panic, only 200/400/404/409), and
+# jito.DetailSet (arbitrary Put/Get/Len/iterate sequences over repeated
+# signatures, half of them with the hash narrowed to four buckets so
+# collision chains are long, against a plain map).
 # Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
-# cases, a small snapshot with its truncations, the traceparent
-# round-trip cases, and the /leasez request bodies of the HTTP tests.
+# cases, a small snapshot with its truncations and a file holding one
+# signature twice, the traceparent round-trip cases, the /leasez request
+# bodies of the HTTP tests, and short DetailSet op sequences.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
@@ -66,6 +72,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s -parallel=2 ./internal/snapshot
 	$(GO) test -run=NONE -fuzz='^FuzzTraceparent$$' -fuzztime=10s -parallel=2 ./internal/obs
 	$(GO) test -run=NONE -fuzz='^FuzzLeasezOps$$' -fuzztime=10s -parallel=2 ./internal/fleet
+	$(GO) test -run=NONE -fuzz='^FuzzDetailSet$$' -fuzztime=10s -parallel=2 ./internal/jito
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

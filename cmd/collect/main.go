@@ -200,7 +200,7 @@ func main() {
 			// The decode metrics are already on the registry; the resume
 			// line is just their terminal rendering.
 			fmt.Printf("resumed from %s: %d bundles, %d details, %d detail ids pending (%.0f shards, %.1f MB decoded)\n",
-				*save, data.Collected, len(data.Details), c.PendingDetails(),
+				*save, data.Collected, data.Details.Len(), c.PendingDetails(),
 				reg.Value("snapshot_shards_total", "op", "decode"),
 				reg.Value("snapshot_raw_bytes_total", "op", "decode")/(1<<20))
 		} else if !errors.Is(err, os.ErrNotExist) {

@@ -398,23 +398,32 @@ var ErrDetailShortfall = errors.New("collector: detail shortfall")
 // collection re-derives exactly the shortfall it left off with.
 func (c *Collector) pendingDetailIDs() []solana.Signature {
 	var pending []solana.Signature
-	collect := func(recs []jito.BundleRecord) {
+	c.eachPending(func(id solana.Signature) { pending = append(pending, id) })
+	return pending
+}
+
+// eachPending calls f with every retained member id whose detail is
+// missing, in record order.
+func (c *Collector) eachPending(f func(solana.Signature)) {
+	for _, recs := range [][]jito.BundleRecord{c.Data.Len3, c.Data.Long} {
 		for i := range recs {
 			for _, id := range recs[i].TxIDs {
-				if _, ok := c.Data.Details[id]; !ok {
-					pending = append(pending, id)
+				if !c.Data.Details.Has(id) {
+					f(id)
 				}
 			}
 		}
 	}
-	collect(c.Data.Len3)
-	collect(c.Data.Long)
-	return pending
 }
 
 // PendingDetails counts transaction ids still awaiting details — the
 // visible shortfall after a degraded FetchDetails (or before any fetch).
-func (c *Collector) PendingDetails() int { return len(c.pendingDetailIDs()) }
+// It allocates nothing.
+func (c *Collector) PendingDetails() int {
+	n := 0
+	c.eachPending(func(solana.Signature) { n++ })
+	return n
+}
 
 // FetchDetails bulk-fetches transaction details for every collected
 // length-3 bundle that does not have them yet, in batches of at most
@@ -471,16 +480,22 @@ func (c *Collector) fetchDetails(tr *obs.Trace) (int, error) {
 			lastErr = err
 			continue
 		}
-		for _, d := range details {
-			c.Data.Details[d.Sig] = d
+		for i := range details {
+			// Fill gaps only. A stream feeder may have handed detection a
+			// view of a detail already held, so a response that repeats
+			// one must not rewrite it under a reader.
+			if !c.Data.Details.Has(details[i].Sig) {
+				c.Data.Details.Put(details[i])
+			}
 		}
 		fetched += len(details)
 	}
-	c.pendingGauge.Set(int64(c.PendingDetails()))
-	c.quality.ObserveDetails(fetched, c.PendingDetails(), uint64(failed))
+	left := c.PendingDetails()
+	c.pendingGauge.Set(int64(left))
+	c.quality.ObserveDetails(fetched, left, uint64(failed))
 	if failed > 0 {
 		return fetched, fmt.Errorf("%w: %d of %d batches failed (last: %v), %d ids pending",
-			ErrDetailShortfall, failed, batches, lastErr, c.PendingDetails())
+			ErrDetailShortfall, failed, batches, lastErr, left)
 	}
 	return fetched, nil
 }

@@ -293,10 +293,10 @@ func TestEquivalenceHTTPvsDirect(t *testing.T) {
 		return c.Data
 	}
 	a, b := run(false), run(true)
-	if a.Collected != b.Collected || len(a.Len3) != len(b.Len3) || len(a.Details) != len(b.Details) {
+	if a.Collected != b.Collected || len(a.Len3) != len(b.Len3) || a.Details.Len() != b.Details.Len() {
 		t.Fatalf("direct (%d,%d,%d) != http (%d,%d,%d)",
-			a.Collected, len(a.Len3), len(a.Details),
-			b.Collected, len(b.Len3), len(b.Details))
+			a.Collected, len(a.Len3), a.Details.Len(),
+			b.Collected, len(b.Len3), b.Details.Len())
 	}
 	for i := range a.Len3 {
 		if a.Len3[i].ID != b.Len3[i].ID {

@@ -29,8 +29,11 @@ type Dataset struct {
 	Len3 []jito.BundleRecord
 	// Long holds records of other retained lengths (4–5) when extended
 	// detection is enabled; empty under the paper's length-3-only economy.
-	Long    []jito.BundleRecord
-	Details map[solana.Signature]jito.TxDetail
+	Long []jito.BundleRecord
+	// Details holds every fetched transaction detail (see
+	// jito.DetailSet); a loaded dataset stores each record's details at
+	// consecutive positions.
+	Details *jito.DetailSet
 
 	// retain selects which bundle lengths keep full records for detail
 	// fetching. Length 3 is always retained.
@@ -56,7 +59,7 @@ func NewDataset(clock solana.Clock, windowSize int) *Dataset {
 		Days:     make(map[int]*DayAgg),
 		TipsLen1: stats.NewTipHistogram(),
 		TipsLen3: stats.NewTipHistogram(),
-		Details:  make(map[solana.Signature]jito.TxDetail),
+		Details:  new(jito.DetailSet),
 		retain:   map[int]bool{3: true},
 		seen:     newDedupWindow(windowSize),
 	}
@@ -140,14 +143,7 @@ func (d *Dataset) DetailsFor(rec *jito.BundleRecord) ([]jito.TxDetail, bool) {
 // scratch slice (dst[:0]) keeps the analysis hot loop allocation-free;
 // safe to call from concurrent readers once ingestion has finished.
 func (d *Dataset) AppendDetails(dst []jito.TxDetail, rec *jito.BundleRecord) ([]jito.TxDetail, bool) {
-	for _, id := range rec.TxIDs {
-		det, ok := d.Details[id]
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst, det)
-	}
-	return dst, true
+	return d.Details.AppendAligned(dst, rec.TxIDs)
 }
 
 // SortedDays returns the days present, ascending.

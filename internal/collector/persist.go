@@ -25,8 +25,8 @@ func unixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // a retired layout — as snapshot.ErrCorrupt before any shard is decoded,
 // which is also what makes a loaded file safe to resume into and rewrite.
 
-// snapshotView is the persistence view of d: shared slices and maps, no
-// copies. The dedup window is deliberately absent; a loaded dataset
+// snapshotView is the persistence view of d: shared slices, maps and
+// detail set, no copies. The dedup window is deliberately absent; a loaded dataset
 // resumes collection with a fresh window (see LoadDataset).
 func (d *Dataset) snapshotView() *snapshot.Snapshot {
 	return &snapshot.Snapshot{

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -48,9 +49,9 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("counters: %d/%d vs %d/%d",
 			loaded.Collected, loaded.Duplicates, c.Data.Collected, c.Data.Duplicates)
 	}
-	if len(loaded.Len3) != len(c.Data.Len3) || len(loaded.Details) != len(c.Data.Details) {
+	if len(loaded.Len3) != len(c.Data.Len3) || loaded.Details.Len() != c.Data.Details.Len() {
 		t.Fatalf("records: %d/%d vs %d/%d",
-			len(loaded.Len3), len(loaded.Details), len(c.Data.Len3), len(c.Data.Details))
+			len(loaded.Len3), loaded.Details.Len(), len(c.Data.Len3), c.Data.Details.Len())
 	}
 	if !loaded.Clock.Genesis.Equal(c.Data.Clock.Genesis) {
 		t.Error("clock genesis lost")
@@ -379,13 +380,14 @@ func datasetsEquivalent(t *testing.T, want, got *Dataset) {
 			}
 		}
 	}
-	if len(got.Details) != len(want.Details) {
-		t.Fatalf("details: %d vs %d", len(got.Details), len(want.Details))
+	if got.Details.Len() != want.Details.Len() {
+		t.Fatalf("details: %d vs %d", got.Details.Len(), want.Details.Len())
 	}
-	for sig, det := range want.Details {
-		g, ok := got.Details[sig]
+	for i := 0; i < want.Details.Len(); i++ {
+		det := want.Details.At(i)
+		g, ok := got.Details.Get(det.Sig)
 		if !ok || !det.Equal(&g) {
-			t.Fatalf("detail %x: %+v vs %+v", sig[:4], g, det)
+			t.Fatalf("detail %x: %+v vs %+v", det.Sig[:4], g, *det)
 		}
 	}
 }
@@ -414,4 +416,47 @@ func TestSaveByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	datasetsEquivalent(t, d, loaded)
+}
+
+// TestLoadDatasetAllocsPerShardAndChunk pins the cost of loading details:
+// a full load of more than 20k details makes a few allocations per shard
+// and per detail-set chunk, far below one per detail (a signature-keyed
+// map of 152-byte values made one heap object per detail).
+func TestLoadDatasetAllocsPerShardAndChunk(t *testing.T) {
+	const records = 7000
+	rng := rand.New(rand.NewSource(5))
+	d := NewDataset(testClock, 64)
+	for i := 0; i < records; i++ {
+		rec := jito.BundleRecord{Seq: uint64(i), Slot: solana.Slot(10 * i), TipLamps: 1_000}
+		rng.Read(rec.ID[:])
+		for j := 0; j < 3; j++ {
+			det := jito.TxDetail{Slot: rec.Slot, TokenDeltas: []jito.TokenDelta{{Delta: rng.Int63n(1 << 40)}}}
+			rng.Read(det.Sig[:])
+			rng.Read(det.Signer[:])
+			rec.TxIDs = append(rec.TxIDs, det.Sig)
+			d.Details.Put(det)
+		}
+		d.Ingest(rec)
+	}
+	var buf bytes.Buffer
+	if err := d.SaveWorkers(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *Dataset
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if loaded, err = LoadDatasetWorkers(bytes.NewReader(buf.Bytes()), 64, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	details := loaded.Details.Len()
+	shards := (records + 4095) / 4096
+	chunks := (details + 255) / 256
+	t.Logf("%d details, %d shards, %d chunks: %.0f allocations per load", details, shards, chunks, allocs)
+	if details != 3*records {
+		t.Fatalf("loaded %d details, want %d", details, 3*records)
+	}
+	if limit := float64(50*shards + 4*chunks + 100); allocs > limit {
+		t.Fatalf("%.0f allocations per load, want at most %.0f (%d shards, %d chunks)", allocs, limit, shards, chunks)
+	}
 }

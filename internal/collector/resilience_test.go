@@ -341,6 +341,65 @@ func TestFetchDetailsDegradesPerBatch(t *testing.T) {
 	}
 }
 
+// TestPendingDetailsCountsWithoutAllocating: the shortfall count walks
+// the retained records in place; it builds no id list.
+func TestPendingDetailsCountsWithoutAllocating(t *testing.T) {
+	store := seededStore(6, 3)
+	tr := &flakyDetails{Direct: Direct{Store: store}}
+	tr.broken = func(ids []solana.Signature) bool { return ids[0][0] == 2 }
+	c := New(Config{PageLimit: 100, DetailBatch: 3, DetailRetries: -1}, testClock, tr)
+	c.Poll()
+	if _, err := c.FetchDetails(); !errors.Is(err, ErrDetailShortfall) {
+		t.Fatalf("want shortfall, got %v", err)
+	}
+	if n := c.PendingDetails(); n != 3 {
+		t.Fatalf("PendingDetails = %d, want 3", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.PendingDetails() }); allocs != 0 {
+		t.Fatalf("PendingDetails made %.0f allocations", allocs)
+	}
+}
+
+// repeatingDetails answers every detail batch with an extra, altered
+// copy of the first detail it ever served.
+type repeatingDetails struct {
+	Direct
+	first *jito.TxDetail
+}
+
+func (r *repeatingDetails) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
+	out, err := r.Direct.TxDetails(ids)
+	if err != nil || len(out) == 0 {
+		return out, err
+	}
+	if r.first == nil {
+		r.first = &out[0]
+		return out, nil
+	}
+	forged := *r.first
+	forged.TipLamports++
+	return append(out, forged), nil
+}
+
+// TestFetchDetailsNeverRewritesHeldDetails: a response that repeats a
+// signature already held leaves the held detail untouched — stream
+// detection may be reading it through a view.
+func TestFetchDetailsNeverRewritesHeldDetails(t *testing.T) {
+	tr := &repeatingDetails{Direct: Direct{Store: seededStore(4, 3)}}
+	c := New(Config{PageLimit: 100, DetailBatch: 3}, testClock, tr)
+	c.Poll()
+	if _, err := c.FetchDetails(); err != nil {
+		t.Fatal(err)
+	}
+	if c.PendingDetails() != 0 {
+		t.Fatalf("PendingDetails = %d", c.PendingDetails())
+	}
+	got, ok := c.Data.Details.Get(tr.first.Sig)
+	if !ok || !got.Equal(tr.first) {
+		t.Fatalf("held detail rewritten: %+v, first served %+v", got, *tr.first)
+	}
+}
+
 // TestPendingDetailsResumeAcrossCheckpoint pins the crash-resume story:
 // a checkpoint taken mid-shortfall re-derives its pending queue after
 // load, and a later FetchDetails completes it.

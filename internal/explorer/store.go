@@ -49,7 +49,7 @@ const MaxDetailBatch = 10_000
 type Store struct {
 	mu      sync.RWMutex
 	records []jito.BundleRecord
-	details map[solana.Signature]jito.TxDetail
+	details jito.DetailSet
 
 	// DetailLengths selects which bundle lengths get their transaction
 	// details retained. Nil means {3}.
@@ -58,10 +58,7 @@ type Store struct {
 
 // NewStore creates a store retaining details for length-3 bundles.
 func NewStore() *Store {
-	return &Store{
-		details:       make(map[solana.Signature]jito.TxDetail),
-		detailLengths: map[int]bool{3: true},
-	}
+	return &Store{detailLengths: map[int]bool{3: true}}
 }
 
 // RetainDetailsFor widens or narrows the set of bundle lengths whose
@@ -82,8 +79,8 @@ func (s *Store) Accept(_ int, acc *jito.Accepted) {
 	defer s.mu.Unlock()
 	s.records = append(s.records, acc.Record)
 	if s.detailLengths[acc.Record.NumTxs()] {
-		for _, d := range acc.Details {
-			s.details[d.Sig] = d
+		for i := range acc.Details {
+			s.details.Put(acc.Details[i])
 		}
 	}
 }
@@ -184,7 +181,7 @@ func (s *Store) TxDetails(ids []solana.Signature) []jito.TxDetail {
 	defer s.mu.RUnlock()
 	out := make([]jito.TxDetail, 0, len(ids))
 	for _, id := range ids {
-		if d, ok := s.details[id]; ok {
+		if d, ok := s.details.Get(id); ok {
 			out = append(out, d)
 		}
 	}

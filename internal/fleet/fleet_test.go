@@ -93,7 +93,7 @@ func groundTruth(store *explorer.Store, clock solana.Clock) *collector.Dataset {
 	}
 	for i := range ds.Len3 {
 		for _, d := range store.TxDetails(ds.Len3[i].TxIDs) {
-			ds.Details[d.Sig] = d
+			ds.Details.Put(d)
 		}
 	}
 	return ds
@@ -353,7 +353,7 @@ func TestMergeDedupsOverlappingInputs(t *testing.T) {
 		}
 		for i := range ds.Len3 {
 			for _, d := range store.TxDetails(ds.Len3[i].TxIDs) {
-				ds.Details[d.Sig] = d
+				ds.Details.Put(d)
 			}
 		}
 		return ds

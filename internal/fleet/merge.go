@@ -85,19 +85,19 @@ func Merge(parts []*collector.Dataset, detailLengths []int, reg *obs.Registry) (
 			continue
 		}
 		for _, id := range all[i].TxIDs {
-			if _, ok := out.Details[id]; ok {
+			if out.Details.Has(id) {
 				continue
 			}
 			for _, p := range parts {
-				if d, ok := p.Details[id]; ok {
-					out.Details[id] = d
+				if d, ok := p.Details.Get(id); ok {
+					out.Details.Put(d)
 					break
 				}
 			}
 		}
 	}
 	stats.Records = out.Collected
-	stats.Details = uint64(len(out.Details))
+	stats.Details = uint64(out.Details.Len())
 	if reg != nil {
 		reg.Volatile("fleet_merge_inputs", "fleet_merge_records_total",
 			"fleet_merge_dedup_total", "fleet_merge_details_total")

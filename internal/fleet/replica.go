@@ -548,8 +548,8 @@ func (r *Replica) fetchIDs(ds *collector.Dataset, ids []solana.Signature, attemp
 			failedBatches++
 			continue
 		}
-		for _, d := range details {
-			ds.Details[d.Sig] = d
+		for i := range details {
+			ds.Details.Put(details[i])
 		}
 		fetched += len(details)
 	}
@@ -566,7 +566,7 @@ func pendingLen3(ds *collector.Dataset) []solana.Signature {
 	var pending []solana.Signature
 	for i := range ds.Len3 {
 		for _, id := range ds.Len3[i].TxIDs {
-			if _, ok := ds.Details[id]; !ok {
+			if !ds.Details.Has(id) {
 				pending = append(pending, id)
 			}
 		}

@@ -160,7 +160,7 @@ func synthDataset(seed int64, nLen3, days int, detailFrac float64, orphans int) 
 					td.Delta = rng.Int63() - rng.Int63()
 					det.TokenDeltas = append(det.TokenDeltas, td)
 				}
-				data.Details[sig] = det
+				data.Details.Put(det)
 			}
 		}
 		data.Len3 = append(data.Len3, rec)
@@ -169,7 +169,7 @@ func synthDataset(seed int64, nLen3, days int, detailFrac float64, orphans int) 
 		det := jito.TxDetail{Slot: solana.DayStart(rng.Intn(days))}
 		rng.Read(det.Sig[:])
 		rng.Read(det.Signer[:])
-		data.Details[det.Sig] = det
+		data.Details.Put(det)
 	}
 	return data
 }

@@ -38,8 +38,15 @@ func TestLoadedDatasetSurvivesRecycling(t *testing.T) {
 	same := func(what string, want, got *collector.Dataset) {
 		t.Helper()
 		if !reflect.DeepEqual(want.Len3, got.Len3) || !reflect.DeepEqual(want.Long, got.Long) ||
-			!reflect.DeepEqual(want.Details, got.Details) {
+			want.Details.Len() != got.Details.Len() {
 			t.Fatalf("%s: records or details diverge", what)
+		}
+		for i := 0; i < want.Details.Len(); i++ {
+			w := want.Details.At(i)
+			p := got.Details.Index(w.Sig)
+			if p < 0 || !reflect.DeepEqual(*w, *got.Details.At(p)) {
+				t.Fatalf("%s: detail %x diverges", what, w.Sig[:4])
+			}
 		}
 	}
 

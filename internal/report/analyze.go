@@ -170,11 +170,13 @@ func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64
 	return res
 }
 
-// datasetSource adapts a resident dataset's detail map to the fold's
-// DetailSource over the given record slice.
+// datasetSource adapts a resident dataset's detail set to the fold's
+// DetailSource over the given record slice: a read-only view when the
+// record's details are consecutive in the set, a copy into scratch
+// otherwise.
 func datasetSource(data *collector.Dataset, recs []jito.BundleRecord) DetailSource {
 	return func(i int, scratch []jito.TxDetail) ([]jito.TxDetail, bool) {
-		return data.AppendDetails(scratch, &recs[i])
+		return data.Details.Aligned(scratch, recs[i].TxIDs)
 	}
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"sort"
+	"sync"
 
 	"jitomev/internal/collector"
 	"jitomev/internal/core"
@@ -22,13 +23,36 @@ import (
 // Results whether they came from a resident Dataset or from decoded
 // snapshot shards.
 
-// DetailSource resolves record i's aligned transaction details into
-// scratch, reporting whether every member's detail is present — the
+// DetailSource resolves record i's aligned transaction details,
+// reporting whether every member's detail is present — the
 // all-or-nothing contract of collector.Dataset.AppendDetails and
-// snapshot.Batch.AppendDetails, the two implementations. The index is
-// relative to the record slice handed to the same Detect call. On false,
-// the returned slice is unspecified scratch and must not be interpreted.
+// snapshot.Batch.AppendDetails. The index is relative to the record
+// slice handed to the same Detect call. A source either appends the
+// details to scratch or returns a read-only view it does not own (a
+// jito.DetailSet view, or a stream event's own slice); the fold reads
+// the result and never writes through it. On false, the returned slice
+// is unspecified and must not be interpreted.
 type DetailSource func(i int, scratch []jito.TxDetail) ([]jito.TxDetail, bool)
+
+// scratchPool holds the fold's own detail buffers. Each Detect call
+// takes one, offers it emptied to every src call, and never adopts what
+// src returns: a read-only view must not become the next call's scratch,
+// where an appending source would write into the set it came from. The
+// capacity covers the longest bundle, so appending sources never grow
+// it, and the pool spares a call that only sees views an allocation.
+var scratchPool = sync.Pool{New: func() any {
+	s := make([]jito.TxDetail, 0, jito.MaxBundleTxs+1)
+	return &s
+}}
+
+func getScratch() *[]jito.TxDetail { return scratchPool.Get().(*[]jito.TxDetail) }
+
+// putScratch clears buf before it goes back, so the pool pins no token
+// deltas.
+func putScratch(buf *[]jito.TxDetail) {
+	clear((*buf)[:cap(*buf)])
+	scratchPool.Put(buf)
+}
 
 // Scope seeds an Accumulator with the dataset-level aggregates that need
 // no detection pass: collection scalars, the per-day aggregates, and the
@@ -172,19 +196,19 @@ type Len3Partial struct {
 // concurrently over disjoint ranges.
 func (a *Accumulator) DetectLen3(recs []jito.BundleRecord, src DetailSource) Len3Partial {
 	var p Len3Partial
-	var scratch []jito.TxDetail
+	buf := getScratch()
+	defer putScratch(buf)
 	for i := range recs {
 		rec := &recs[i]
 		if !a.inRange(rec.Slot) {
 			continue
 		}
-		var ok bool
-		scratch, ok = src(i, scratch[:0])
+		dets, ok := src(i, (*buf)[:0])
 		if !ok {
 			continue
 		}
 		p.withDetails++
-		v := a.det.Detect(rec, scratch)
+		v := a.det.Detect(rec, dets)
 		if !v.Sandwich {
 			p.rejections[v.Failed]++
 			continue
@@ -225,19 +249,19 @@ type LongPartial struct {
 // DetectLong runs extended detection over recs. Pure like DetectLen3.
 func (a *Accumulator) DetectLong(recs []jito.BundleRecord, src DetailSource) LongPartial {
 	var p LongPartial
-	var scratch []jito.TxDetail
+	buf := getScratch()
+	defer putScratch(buf)
 	for i := range recs {
 		rec := &recs[i]
 		if !a.inRange(rec.Slot) {
 			continue
 		}
-		var ok bool
-		scratch, ok = src(i, scratch[:0])
+		dets, ok := src(i, (*buf)[:0])
 		if !ok {
 			continue
 		}
 		p.scanned++
-		ev := a.det.DetectExtended(rec, scratch)
+		ev := a.det.DetectExtended(rec, dets)
 		p.verdicts = append(p.verdicts, ev.Sandwiches...)
 	}
 	return p

@@ -93,7 +93,7 @@ func buildDataset(t *testing.T) *collector.Dataset {
 		rec, details := sandwichBundle(1000+i, slot, 2_000_000)
 		d.Ingest(rec)
 		for _, det := range details {
-			d.Details[det.Sig] = det
+			d.Details.Put(det)
 		}
 	}
 	// Benign length-3.
@@ -101,7 +101,7 @@ func buildDataset(t *testing.T) *collector.Dataset {
 		rec, details := benignBundle(2000+i, solana.Slot(200+i))
 		d.Ingest(rec)
 		for _, det := range details {
-			d.Details[det.Sig] = det
+			d.Details.Put(det)
 		}
 	}
 	return d
@@ -228,7 +228,7 @@ func TestAblate(t *testing.T) {
 	rec, details := sandwichBundle(1, 10, 2_000_000)
 	d.Ingest(rec)
 	for _, det := range details {
-		d.Details[det.Sig] = det
+		d.Details.Put(det)
 	}
 	truth[rec.ID] = true
 
@@ -237,7 +237,7 @@ func TestAblate(t *testing.T) {
 	details2[2] = jito.TxDetail{Sig: details2[2].Sig, Signer: attacker, TipOnly: true}
 	d.Ingest(rec2)
 	for _, det := range details2 {
-		d.Details[det.Sig] = det
+		d.Details.Put(det)
 	}
 
 	ab := Ablate(d, core.NewDefaultDetector(), truth)

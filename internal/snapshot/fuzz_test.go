@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jitomev/internal/jito"
+	"jitomev/internal/solana"
 )
 
 // fuzzSeed encodes s.
@@ -51,10 +52,12 @@ func scanCopies(data []byte, workers int, mapped bool) ([]shardCopy, error) {
 // FuzzScan drives the reader over arbitrary bytes: Scan with and
 // without Map, and Read. No input may panic, every rejection is
 // ErrCorrupt, and an accepted input scans to identical batches twice in
-// a row — the second time on recycled decode memory. The corpus is a
+// a row — the second time on recycled decode memory — and loads to the
+// detail set its batches' details make in scan order. The corpus is a
 // small snapshot with aligned details and token deltas (two len-3
-// shards, a long shard and an orphan shard) and its truncations, plus
-// an empty snapshot (every section present with zero shards).
+// shards, a long shard and an orphan shard) and its truncations, an
+// empty snapshot (every section present with zero shards), and a file
+// with one signature in a bundle shard and again in the orphan shard.
 func FuzzScan(f *testing.F) {
 	good := fuzzSeed(f, alignedSnapshot(71, bundleShardSize+40, 3, 0.8))
 	f.Add(good)
@@ -62,6 +65,8 @@ func FuzzScan(f *testing.F) {
 		f.Add(good[:n])
 	}
 	f.Add(fuzzSeed(f, &Snapshot{Genesis: 42}))
+	dup, _, _ := dupSigFile(f)
+	f.Add(dup)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		isCorrupt := func(what string, err error) bool {
 			if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -87,7 +92,42 @@ func FuzzScan(f *testing.F) {
 				t.Fatal("scan on recycled memory diverges from the first")
 			}
 		}
-		_, err = Read(bytes.NewReader(data), 2)
-		isCorrupt("read", err)
+		loaded, err := Read(bytes.NewReader(data), 2)
+		if isCorrupt("read", err) != rejected {
+			t.Fatalf("Read and Scan disagree: %v", err)
+		}
+		if !rejected {
+			checkLoadedDetails(t, data, loaded.Details)
+		}
 	})
+}
+
+// checkLoadedDetails asserts that a loaded detail set equals a map built
+// from every batch's Details() in scan order, the last write winning,
+// and that the set's positions follow first appearance in that order.
+func checkLoadedDetails(t *testing.T, data []byte, set *jito.DetailSet) {
+	t.Helper()
+	ref := make(map[solana.Signature]jito.TxDetail)
+	var order []solana.Signature
+	err := Scan(bytes.NewReader(data), ScanOptions{Workers: 1}, nil, func(_ Section, _ ShardMeta, b *Batch, _ any) error {
+		for _, d := range b.Details() {
+			d.TokenDeltas = slices.Clone(d.TokenDeltas)
+			if _, ok := ref[d.Sig]; !ok {
+				order = append(order, d.Sig)
+			}
+			ref[d.Sig] = d
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reference scan: %v", err)
+	}
+	if set.Len() != len(ref) {
+		t.Fatalf("loaded %d details, scan order holds %d", set.Len(), len(ref))
+	}
+	for p, sig := range order {
+		if d := set.At(p); d.Sig != sig || !reflect.DeepEqual(*d, ref[sig]) {
+			t.Fatalf("position %d: loaded %+v, want %+v", p, *d, ref[sig])
+		}
+	}
 }

@@ -41,7 +41,7 @@ func recycleSnapshot(seed int64) *Snapshot {
 					Owner: randPubkey(rng, 40), Mint: randPubkey(rng, 8), Delta: rng.Int63() - rng.Int63(),
 				})
 			}
-			s.Details[sig] = det
+			s.Details.Put(det)
 		}
 		*dst = append(*dst, rec)
 	}
@@ -60,7 +60,7 @@ func recycleSnapshot(seed int64) *Snapshot {
 	}
 	for i := 0; i < 50; i++ {
 		det := randDetail(rng, i%2)
-		s.Details[det.Sig] = det
+		s.Details.Put(det)
 	}
 	return s
 }
@@ -102,7 +102,7 @@ func expectedShards(s *Snapshot) []shardCopy {
 		for lo := 0; lo < len(sec.recs); lo += bundleShardSize {
 			c := shardCopy{Sec: sec.sec, Recs: sec.recs[lo:min(lo+bundleShardSize, len(sec.recs))]}
 			for i := range c.Recs {
-				dets, ok := appendDetailsFromMap(nil, &c.Recs[i], s.Details)
+				dets, ok := s.Details.AppendAligned(nil, c.Recs[i].TxIDs)
 				if !ok {
 					dets = nil
 				}
@@ -188,9 +188,25 @@ func assertSameRecords(t *testing.T, want, got *Snapshot) {
 	if !reflect.DeepEqual(want.Len3, got.Len3) || !reflect.DeepEqual(want.Long, got.Long) {
 		t.Fatal("records diverge from the written snapshot")
 	}
-	if !reflect.DeepEqual(want.Details, got.Details) {
+	if !sameDetails(want.Details, got.Details) {
 		t.Fatal("details diverge from the written snapshot")
 	}
+}
+
+// sameDetails reports whether two sets hold the same signatures with
+// reflect.DeepEqual details, whatever their insertion orders.
+func sameDetails(want, got *jito.DetailSet) bool {
+	if want.Len() != got.Len() {
+		return false
+	}
+	for i := 0; i < want.Len(); i++ {
+		w := want.At(i)
+		p := got.Index(w.Sig)
+		if p < 0 || !reflect.DeepEqual(*w, *got.At(p)) {
+			return false
+		}
+	}
+	return true
 }
 
 // raceEnabled is set under the race detector (race_test.go).

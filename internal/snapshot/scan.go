@@ -434,7 +434,7 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 // readV3 is the full-materialization read path: the streaming scan with
 // no pruning, reassembling the in-memory Snapshot.
 func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
-	s := &Snapshot{Details: make(map[solana.Signature]jito.TxDetail)}
+	s := &Snapshot{Details: new(jito.DetailSet)}
 	opts := ScanOptions{
 		Workers: workers,
 		SectionStart: func(sec Section, _, items int) error {
@@ -462,9 +462,11 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		case SectionLong:
 			s.Long = append(s.Long, b.Recs...)
 		}
+		// The set grows chunk by chunk as shards arrive; nothing is sized
+		// from the header's counts.
 		dets := b.Details()
 		for i := range dets {
-			s.Details[dets[i].Sig] = dets[i]
+			s.Details.Put(dets[i])
 		}
 		// The copies alias the TxIDs and TokenDelta arrays; the rest of
 		// the batch is reused.

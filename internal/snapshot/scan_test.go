@@ -40,7 +40,7 @@ func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapsh
 				det := randDetail(rng, 4)
 				det.Sig = sig
 				det.Slot = rec.Slot
-				s.Details[sig] = det
+				s.Details.Put(det)
 			}
 		}
 		if long {
@@ -51,7 +51,7 @@ func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapsh
 	}
 	for i := 0; i < nRecords/10; i++ {
 		det := randDetail(rng, 4)
-		s.Details[det.Sig] = det
+		s.Details.Put(det)
 	}
 	return s
 }
@@ -67,7 +67,7 @@ func TestScanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := &Snapshot{Details: make(map[solana.Signature]jito.TxDetail)}
+	got := &Snapshot{Details: new(jito.DetailSet)}
 	err := Scan(&buf, ScanOptions{Workers: 4}, func(p *Prelude) error {
 		got.Genesis, got.Collected, got.Duplicates = p.Genesis, p.Collected, p.Duplicates
 		got.Days, got.TipsLen1, got.TipsLen3 = p.Days, p.TipsLen1, p.TipsLen3
@@ -101,19 +101,19 @@ func TestScanRoundTrip(t *testing.T) {
 			got.Long = append(got.Long, b.Recs...)
 		}
 		for _, det := range b.Details() {
-			got.Details[det.Sig] = det
+			got.Details.Put(det)
 		}
 		// Aligned access must agree with the original dataset's
 		// all-or-nothing contract (dst content is scratch when a record
 		// is incomplete, so only complete records compare content).
 		for i := range b.Recs {
-			want, wantOK := appendDetailsFromMap(nil, &b.Recs[i], s.Details)
+			want, wantOK := s.Details.AppendAligned(nil, b.Recs[i].TxIDs)
 			dst, ok := b.AppendDetails(nil, i)
 			if ok != wantOK {
-				t.Fatalf("%s: AppendDetails(%d) completeness %v, map lookup says %v", sec, i, ok, wantOK)
+				t.Fatalf("%s: AppendDetails(%d) completeness %v, set lookup says %v", sec, i, ok, wantOK)
 			}
 			if ok && !reflect.DeepEqual(dst, want) {
-				t.Fatalf("%s: AppendDetails(%d) diverges from map lookup", sec, i)
+				t.Fatalf("%s: AppendDetails(%d) diverges from set lookup", sec, i)
 			}
 		}
 		return nil
@@ -122,19 +122,6 @@ func TestScanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshotsEqual(t, s, got)
-}
-
-// appendDetailsFromMap mirrors collector.Dataset.AppendDetails against a
-// raw map — the reference the batch accessor must match.
-func appendDetailsFromMap(dst []jito.TxDetail, rec *jito.BundleRecord, details map[solana.Signature]jito.TxDetail) ([]jito.TxDetail, bool) {
-	for _, id := range rec.TxIDs {
-		det, ok := details[id]
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst, det)
-	}
-	return dst, true
 }
 
 // TestScanPruneDays exercises day-range pushdown: pruned shards must be

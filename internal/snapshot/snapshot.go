@@ -65,7 +65,10 @@
 // time with no dataset-sized state. Details not referenced by any
 // retained record land in the orphans section, signature-sorted: the
 // local dictionary, a signature column (items × 64 bytes), then the
-// detail columns. This preserves exact map round trips.
+// detail columns. This preserves exact detail-set round trips: a loaded
+// set holds every detail once, each record's details at consecutive
+// positions. Should a signature appear twice in a file, the later one in
+// scan order wins.
 //
 // The record columns are fixed-width, one column fully emitted before
 // the next — grouping similar bytes is what lets the fast gzip level
@@ -112,7 +115,6 @@ import (
 	"fmt"
 
 	"jitomev/internal/jito"
-	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
 
@@ -189,7 +191,7 @@ type Snapshot struct {
 	TipsLen3 *stats.LogHistogram
 	Len3     []jito.BundleRecord
 	Long     []jito.BundleRecord
-	Details  map[solana.Signature]jito.TxDetail
+	Details  *jito.DetailSet
 
 	Collected  uint64
 	Duplicates uint64

@@ -70,7 +70,7 @@ func testSnapshot(seed int64, nRecords, nDetails int) *Snapshot {
 		Days:       make(map[int]*DayAgg),
 		TipsLen1:   stats.NewTipHistogram(),
 		TipsLen3:   stats.NewTipHistogram(),
-		Details:    make(map[solana.Signature]jito.TxDetail),
+		Details:    new(jito.DetailSet),
 		Collected:  12345678,
 		Duplicates: 999,
 	}
@@ -95,7 +95,7 @@ func testSnapshot(seed int64, nRecords, nDetails int) *Snapshot {
 	}
 	for i := 0; i < nDetails; i++ {
 		det := randDetail(rng, 6)
-		s.Details[det.Sig] = det
+		s.Details.Put(det)
 	}
 	return s
 }
@@ -143,13 +143,14 @@ func snapshotsEqual(t *testing.T, want, got *Snapshot) {
 			}
 		}
 	}
-	if len(got.Details) != len(want.Details) {
-		t.Fatalf("details: %d vs %d", len(got.Details), len(want.Details))
+	if got.Details.Len() != want.Details.Len() {
+		t.Fatalf("details: %d vs %d", got.Details.Len(), want.Details.Len())
 	}
-	for sig, det := range want.Details {
-		g, ok := got.Details[sig]
+	for i := 0; i < want.Details.Len(); i++ {
+		det := want.Details.At(i)
+		g, ok := got.Details.Get(det.Sig)
 		if !ok || !det.Equal(&g) {
-			t.Fatalf("detail %x diverges:\n%+v\n%+v", sig[:4], g, det)
+			t.Fatalf("detail %x diverges:\n%+v\n%+v", det.Sig[:4], g, *det)
 		}
 	}
 }
@@ -315,7 +316,7 @@ func TestRandomizedRoundTrip(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		s := &Snapshot{Genesis: rng.Int63()}
 		if rng.Intn(4) > 0 {
-			s.Details = make(map[solana.Signature]jito.TxDetail)
+			s.Details = new(jito.DetailSet)
 			for i, n := 0, rng.Intn(50); i < n; i++ {
 				det := randDetail(rng, 16)
 				if i%7 == 0 {
@@ -330,7 +331,7 @@ func TestRandomizedRoundTrip(t *testing.T) {
 						})
 					}
 				}
-				s.Details[det.Sig] = det
+				s.Details.Put(det)
 			}
 		}
 		for i, n := 0, rng.Intn(40); i < n; i++ {

@@ -2,8 +2,9 @@ package snapshot
 
 import (
 	"bufio"
+	"bytes"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,27 +29,29 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw.bundleSection(secBundles3, s.Len3, s.Details, clock, workers)
 	bw.bundleSection(secBundlesLong, s.Long, s.Details, clock, workers)
 
-	// Orphans: details no retained record references, kept so the details
-	// map round-trips exactly. Signature-sorted, which makes the shard
+	// Orphans: details no retained record references, kept so the detail
+	// set round-trips exactly. Signature-sorted, which makes the shard
 	// split deterministic.
-	referenced := make(map[solana.Signature]bool, 3*len(s.Len3))
+	referenced := make([]bool, s.Details.Len())
 	mark := func(recs []jito.BundleRecord) {
 		for i := range recs {
 			for _, sig := range recs[i].TxIDs {
-				referenced[sig] = true
+				if p := s.Details.Index(sig); p >= 0 {
+					referenced[p] = true
+				}
 			}
 		}
 	}
 	mark(s.Len3)
 	mark(s.Long)
-	orphans := make([]solana.Signature, 0)
-	for sig := range s.Details {
-		if !referenced[sig] {
-			orphans = append(orphans, sig)
+	var orphans []solana.Signature
+	for p, ref := range referenced {
+		if !ref {
+			orphans = append(orphans, s.Details.At(p).Sig)
 		}
 	}
-	sort.Slice(orphans, func(i, j int) bool {
-		return string(orphans[i][:]) < string(orphans[j][:])
+	slices.SortFunc(orphans, func(a, b solana.Signature) int {
+		return bytes.Compare(a[:], b[:])
 	})
 	bw.sectionV3(secOrphans, len(orphans), orphanShardSize, workers, func(lo, hi int) ([]byte, ShardMeta, error) {
 		return encodeOrphanShard(orphans[lo:hi], s.Details, clock)
@@ -115,7 +118,7 @@ func (w *writer) sectionV3(id byte, totalItems, shardSize, workers int, encode f
 }
 
 // bundleSection emits one record family as self-contained bundle shards.
-func (w *writer) bundleSection(id byte, recs []jito.BundleRecord, details map[solana.Signature]jito.TxDetail, clock solana.Clock, workers int) {
+func (w *writer) bundleSection(id byte, recs []jito.BundleRecord, details *jito.DetailSet, clock solana.Clock, workers int) {
 	w.sectionV3(id, len(recs), bundleShardSize, workers, func(lo, hi int) ([]byte, ShardMeta, error) {
 		return encodeBundleShard(recs[lo:hi], details, clock)
 	})
@@ -150,7 +153,7 @@ func appendLocalInterns(raw []byte, in *interner) []byte {
 // details in (record, member) order. A member's detail keeps no
 // signature column — its signature is the transaction id at its position
 // in the owning record.
-func encodeBundleShard(recs []jito.BundleRecord, details map[solana.Signature]jito.TxDetail, clock solana.Clock) ([]byte, ShardMeta, error) {
+func encodeBundleShard(recs []jito.BundleRecord, details *jito.DetailSet, clock solana.Clock) ([]byte, ShardMeta, error) {
 	var meta ShardMeta
 	meta.Items = len(recs)
 	for i := range recs {
@@ -180,8 +183,8 @@ func encodeBundleShard(recs []jito.BundleRecord, details map[solana.Signature]ji
 	pres := make([]byte, 0, 3*len(recs))
 	for i := range recs {
 		for _, sig := range recs[i].TxIDs {
-			if det, ok := details[sig]; ok {
-				dets = append(dets, det)
+			if p := details.Index(sig); p >= 0 {
+				dets = append(dets, *details.At(p))
 				pres = append(pres, 1)
 			} else {
 				pres = append(pres, 0)
@@ -196,12 +199,12 @@ func encodeBundleShard(recs []jito.BundleRecord, details map[solana.Signature]ji
 
 // encodeOrphanShard lays out unreferenced details: local dictionary,
 // signature column, detail columns.
-func encodeOrphanShard(sigs []solana.Signature, details map[solana.Signature]jito.TxDetail, clock solana.Clock) ([]byte, ShardMeta, error) {
+func encodeOrphanShard(sigs []solana.Signature, details *jito.DetailSet, clock solana.Clock) ([]byte, ShardMeta, error) {
 	var meta ShardMeta
 	meta.Items = len(sigs)
 	dets := make([]jito.TxDetail, len(sigs))
 	for i, sig := range sigs {
-		dets[i] = details[sig]
+		dets[i], _ = details.Get(sig)
 		day := clock.DayOf(dets[i].Slot)
 		if i == 0 || day < meta.MinDay {
 			meta.MinDay = day
@@ -237,8 +240,8 @@ type Batch struct {
 func (b *Batch) HasDetails() bool { return b.hasDetails }
 
 // Details returns every detail present in the batch in (record, member)
-// order — orphan batches return their whole payload. Full loads use it
-// to rebuild the details map; the slice is owned by the batch.
+// order — orphan batches return their whole payload. Full loads append
+// it to the detail set; the slice is owned by the batch.
 func (b *Batch) Details() []jito.TxDetail { return b.dets }
 
 // AppendDetails appends record i's aligned details to dst and reports

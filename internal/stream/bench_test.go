@@ -67,7 +67,7 @@ func BenchmarkStreamBatchBaseline(b *testing.B) {
 			switch ev.Rec.NumTxs() {
 			case 3, 4, 5:
 				for _, d := range ev.Details {
-					data.Details[d.Sig] = d
+					data.Details.Put(d)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package stream
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"jitomev/internal/collector"
 	"jitomev/internal/jito"
@@ -49,21 +51,30 @@ func canonicalOrder(recs []jito.BundleRecord) []jito.BundleRecord {
 
 // sortCanonical sorts recs in place into (Slot, Seq, ID) order.
 func sortCanonical(recs []jito.BundleRecord) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Slot != recs[j].Slot {
-			return recs[i].Slot < recs[j].Slot
-		}
-		if recs[i].Seq != recs[j].Seq {
-			return recs[i].Seq < recs[j].Seq
-		}
-		return lessID(recs[i].ID, recs[j].ID)
-	})
+	slices.SortStableFunc(recs, func(a, b jito.BundleRecord) int { return compareCanonical(&a, &b) })
+}
+
+// compareCanonical orders records by (Slot, Seq, ID). The bytewise ID
+// tiebreak for equal sequence numbers is only reachable in hand-built
+// feeds; the block engine assigns Seq uniquely.
+func compareCanonical(a, b *jito.BundleRecord) int {
+	if c := cmp.Compare(a.Slot, b.Slot); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.ID[:], b.ID[:])
 }
 
 // Replay offers every retained record of the dataset to the engine in
 // canonical order, with whatever details the dataset holds (incomplete
 // detail sets are withheld, exactly as the batch fold skips them), and
 // imports the dataset's scope. The caller still runs Finish.
+//
+// Events carry read-only views into data.Details wherever a record's
+// details are consecutive in the set (see detailsOf), so the dataset
+// must outlive the engine's Finish and must not be written meanwhile.
 func Replay(e *Engine, data *collector.Dataset) {
 	var long []jito.BundleRecord
 	if e.cfg.Extended {
@@ -73,14 +84,20 @@ func Replay(e *Engine, data *collector.Dataset) {
 	recs := make([]jito.BundleRecord, 0, len(data.Len3)+len(long))
 	recs = append(append(recs, data.Len3...), long...)
 	sortCanonical(recs)
-	for _, rec := range recs {
-		e.Offer(Event{Rec: rec, Details: detailsOf(data, &rec)})
+	for i := range recs {
+		e.Offer(Event{Rec: recs[i], Details: detailsOf(data, &recs[i])})
 	}
 	e.SetScope(ScopeOf(data))
 }
 
+// detailsOf returns rec's aligned details, or nil when any is missing:
+// a read-only view into the dataset's detail set when the details sit
+// consecutively there — always, for a loaded dataset, unless the record
+// straddles a chunk boundary — and a fresh copy otherwise. The empty,
+// non-nil dst keeps a record with no members complete rather than
+// pending.
 func detailsOf(data *collector.Dataset, rec *jito.BundleRecord) []jito.TxDetail {
-	dets, ok := data.AppendDetails(make([]jito.TxDetail, 0, len(rec.TxIDs)), rec)
+	dets, ok := data.Details.Aligned([]jito.TxDetail{}, rec.TxIDs)
 	if !ok {
 		return nil
 	}
@@ -91,7 +108,10 @@ func detailsOf(data *collector.Dataset, rec *jito.BundleRecord) []jito.TxDetail 
 // collector's poll loop appends to Len3/Long and fetches details between
 // polls; each Feed call offers the records that have become complete
 // since the last one. Records whose details never complete are flushed
-// (offered without details) by Finish via FlushPending.
+// (offered without details) by Finish via FlushPending. Like Replay, it
+// offers read-only views into the dataset's detail set; the set only
+// appends as collection goes on, and its chunks never move, so the
+// views stay valid.
 type Feeder struct {
 	eng  *Engine
 	data *collector.Dataset

@@ -35,6 +35,7 @@
 package stream
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -92,8 +93,11 @@ type Config struct {
 // Event is one delivered bundle: the record plus its aligned transaction
 // details (nil or incomplete when the feed does not carry them — the
 // record still counts toward collection aggregates, exactly like a
-// dataset record whose details were never fetched). Arrived stamps
-// delivery time for the latency histograms; zero means "now".
+// dataset record whose details were never fetched). The engine only
+// reads Details, possibly after Offer returns, so the slice may be a
+// read-only view into a jito.DetailSet but must not be modified before
+// Finish. Arrived stamps delivery time for the latency histograms; zero
+// means "now".
 type Event struct {
 	Rec     jito.BundleRecord
 	Details []jito.TxDetail
@@ -145,6 +149,13 @@ var jobPool = sync.Pool{New: func() any { return new(slotJob) }}
 
 // reset clears a job for reuse, keeping its slice capacity.
 func (j *slotJob) reset() {
+	// Cleared, not just truncated: a pooled job must not pin the records'
+	// TxID arrays or the detail-set chunks its events viewed.
+	clear(j.events)
+	clear(j.recs3)
+	clear(j.recsL)
+	clear(j.dets3)
+	clear(j.detsL)
 	j.events = j.events[:0]
 	j.recs3, j.recsL = j.recs3[:0], j.recsL[:0]
 	j.dets3, j.detsL = j.dets3[:0], j.detsL[:0]
@@ -460,12 +471,8 @@ func (e *Engine) seal(job *slotJob, now time.Time) {
 	job.sealedAt = now
 	evs := job.events
 	if len(evs) > 1 {
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].Rec.Seq != evs[j].Rec.Seq {
-				return evs[i].Rec.Seq < evs[j].Rec.Seq
-			}
-			return lessID(evs[i].Rec.ID, evs[j].Rec.ID)
-		})
+		// One slot: the canonical order reduces to (Seq, ID).
+		slices.SortStableFunc(evs, func(a, b Event) int { return compareCanonical(&a.Rec, &b.Rec) })
 	}
 
 	ret := retiredSlot{slot: job.slot, id: evs[0].Rec.ID}
@@ -551,13 +558,12 @@ func (e *Engine) expireDedup(w solana.Slot) {
 }
 
 // alignedSource adapts per-record detail slices to the fold's
-// DetailSource contract (nil = details unavailable).
+// DetailSource contract (nil = details unavailable). It hands each
+// event's slice through as a read-only view — the fold never writes
+// through it — rather than copying it into scratch.
 func alignedSource(dets [][]jito.TxDetail) report.DetailSource {
-	return func(i int, scratch []jito.TxDetail) ([]jito.TxDetail, bool) {
-		if dets[i] == nil {
-			return scratch, false
-		}
-		return append(scratch, dets[i]...), true
+	return func(i int, _ []jito.TxDetail) ([]jito.TxDetail, bool) {
+		return dets[i], dets[i] != nil
 	}
 }
 
@@ -716,16 +722,4 @@ func (e *Engine) Summary() Summary {
 
 func seconds(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-// lessID orders bundle ids bytewise — the canonical tiebreak for equal
-// sequence numbers (only reachable in hand-built feeds; the block engine
-// assigns Seq uniquely).
-func lessID(a, b jito.BundleID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

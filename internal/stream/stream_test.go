@@ -1,7 +1,9 @@
 package stream_test
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,7 +53,7 @@ func buildFeed(t testing.TB) feedFixture {
 			switch acc.Record.NumTxs() {
 			case 3, 4, 5:
 				for _, d := range acc.Details {
-					data.Details[d.Sig] = d
+					data.Details.Put(d)
 				}
 			}
 			events = append(events, stream.Event{Rec: acc.Record, Details: acc.Details})
@@ -161,7 +163,7 @@ func TestStreamMatchesBatchChaosFeed(t *testing.T) {
 			switch ev.Rec.NumTxs() {
 			case 3, 4, 5:
 				for _, d := range ev.Details {
-					refData.Details[d.Sig] = d
+					refData.Details.Put(d)
 				}
 			}
 		}
@@ -282,4 +284,60 @@ func TestFinishPanicsTwice(t *testing.T) {
 		}
 	}()
 	eng.Finish()
+}
+
+// TestReplayTwiceLeavesDetailsIntact: replay hands the engine read-only
+// views into a loaded dataset's detail set, and the resident pass reads
+// the same views. Replaying one loaded dataset twice must give identical
+// Results, equal to the batch pass, and leave every stored detail
+// byte-equal to what was loaded — no fold may write through a view.
+func TestReplayTwiceLeavesDetailsIntact(t *testing.T) {
+	fx := buildFeed(t)
+	var buf bytes.Buffer
+	if err := fx.data.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := collector.LoadDataset(&buf, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]jito.TxDetail, data.Details.Len())
+	for i := range before {
+		before[i] = *data.Details.At(i)
+		before[i].TokenDeltas = slices.Clone(before[i].TokenDeltas)
+	}
+	// A loaded dataset keeps each record's details consecutive, so all
+	// but the records straddling a chunk boundary replay as views.
+	recs, views := 0, 0
+	for i := range data.Len3 {
+		ids := data.Len3[i].TxIDs
+		if dets, ok := data.Details.Aligned(nil, ids); ok {
+			recs++
+			if &dets[0] == data.Details.At(data.Details.Index(ids[0])) {
+				views++
+			}
+		}
+	}
+	if recs == 0 || views < recs*9/10 {
+		t.Fatalf("%d of %d complete records resolve to views", views, recs)
+	}
+
+	ref := report.AnalyzeN(stream.Canonicalize(data), core.NewDefaultDetector(), 0, 4)
+	var runs []*report.Results
+	for _, w := range []int{1, 4} {
+		eng := stream.New(stream.Config{Workers: w, Extended: true, Clock: data.Clock})
+		stream.Replay(eng, data)
+		runs = append(runs, eng.Finish())
+	}
+	for i, got := range runs {
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("replay %d: Results differ from batch", i)
+			diffResults(t, ref, got)
+		}
+	}
+	for i := range before {
+		if got := data.Details.At(i); !reflect.DeepEqual(*got, before[i]) {
+			t.Fatalf("detail %d changed across replays: %+v, loaded %+v", i, *got, before[i])
+		}
+	}
 }
