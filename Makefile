@@ -17,14 +17,18 @@ GO ?= go
 # engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).
 RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo
 
-.PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos fuzz metrics-smoke fleet trace-smoke load-smoke
+.PHONY: verify build fmt test vet race bench bench-json bench-stream bench-latency chaos fuzz metrics-smoke fleet trace-smoke load-smoke
 
-# verify is the extended tier-1 gate (see ROADMAP.md): build + tests,
-# static checks, and the race suite over the concurrent packages.
-verify: build test vet race
+# verify is the extended tier-1 gate (see ROADMAP.md): build, gofmt
+# cleanliness, tests, static checks, and the race suite over the
+# concurrent packages.
+verify: build fmt test vet race
 
 build:
 	$(GO) build ./...
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -46,18 +50,20 @@ chaos:
 # fuzz runs each of the nine native fuzz targets briefly: the
 # fixed-width base58 paths against the generic reference, and the
 # explorer wire codec's decoders against encoding/json (accept/reject,
-# decoded values, fault class), and the recent-page handler's
-# limit/before query strings (200 or 400, never a panic; a 200 body is
-# the store's page), and the snapshot reader (Scan with and without Map,
-# and Read: never a panic, only ErrCorrupt, a second scan on recycled
-# decode memory equal to the first, and a loaded detail set equal to the
-# batches' details taken in scan order, the last write winning), and the
-# W3C traceparent parser (an accepted header carries exactly the IDs and
-# sampled bit it decoded to), and the fleet /leasez operations
-# (arbitrary POST bodies: never a panic, only 200/400/404/409), and
-# jito.DetailSet (arbitrary Put/Get/Len/iterate sequences over repeated
-# signatures, half of them with the hash narrowed to four buckets so
-# collision chains are long, against a plain map).
+# decoded values, fault class; a recent page decoded into a PageBuffer
+# left dirty by another body equal to a fresh decode), and the
+# recent-page handler's limit/before query strings (200 or 400, never a
+# panic; a 200 body is the store's page), and the snapshot reader (Scan
+# with and without Map, and Read: never a panic, only ErrCorrupt, a
+# second scan on recycled decode memory equal to the first, and a loaded
+# detail set equal to the batches' details taken in scan order, the last
+# write winning), and the W3C traceparent parser (an accepted header
+# carries exactly the IDs and sampled bit it decoded to), and the fleet
+# /leasez operations (arbitrary POST bodies: never a panic, only
+# 200/400/404/409), and jito.DetailSet (arbitrary Put/Get/Len/iterate
+# sequences over repeated signatures, half of them with the hash
+# narrowed to four buckets so collision chains are long, against a plain
+# map).
 # Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
 # cases, a small snapshot with its truncations and a file holding one

@@ -45,6 +45,8 @@ type Dataset struct {
 	Duplicates uint64
 
 	seen *dedupWindow
+	// txids owns the TxIDs of every record Ingest retained.
+	txids sigChunks
 }
 
 // NewDataset builds an empty dataset. windowSize bounds the dedup memory;
@@ -86,7 +88,9 @@ func (d *Dataset) day(rec *jito.BundleRecord) *DayAgg {
 }
 
 // Ingest folds one page entry into the dataset, returning false for
-// duplicates (already collected via an earlier page).
+// duplicates (already collected via an earlier page). A record it
+// retains gets its own copy of TxIDs, so rec may alias a transport's
+// reused page storage (see Transport).
 func (d *Dataset) Ingest(rec jito.BundleRecord) bool {
 	if !d.seen.add(rec.ID) {
 		d.Duplicates++
@@ -115,17 +119,54 @@ func (d *Dataset) Ingest(rec jito.BundleRecord) bool {
 		// dataset (fleet partition snapshot) opts records in so a merge
 		// can rebuild those aggregates from scratch.
 		if d.retain[1] {
-			d.Long = append(d.Long, rec)
+			d.Long = append(d.Long, d.own(rec))
 		}
 	case 3:
 		d.TipsLen3.Add(float64(rec.TipLamps))
-		d.Len3 = append(d.Len3, rec)
+		d.Len3 = append(d.Len3, d.own(rec))
 	default:
 		if d.retain[n] {
-			d.Long = append(d.Long, rec)
+			d.Long = append(d.Long, d.own(rec))
 		}
 	}
 	return true
+}
+
+// own returns rec with TxIDs copied into the dataset's own storage.
+func (d *Dataset) own(rec jito.BundleRecord) jito.BundleRecord {
+	rec.TxIDs = d.txids.copy(rec.TxIDs)
+	return rec
+}
+
+// sigChunks is append-only signature storage: each copy lands in the
+// newest chunk, a full chunk is followed by a larger one (up to
+// maxSigChunk), and no chunk ever moves, so a returned slice stays valid
+// for the owner's life.
+type sigChunks struct{ cur []solana.Signature }
+
+// Chunk sizes, in signatures: 4 KiB first, 256 KiB at most.
+const (
+	minSigChunk = 64
+	maxSigChunk = 4096
+)
+
+// copy stores ids and returns the stored window, capped so an append
+// cannot reach a neighbour. A nil ids stays nil and an empty one stays
+// empty.
+func (c *sigChunks) copy(ids []solana.Signature) []solana.Signature {
+	if len(ids) == 0 {
+		if ids == nil {
+			return nil
+		}
+		return []solana.Signature{}
+	}
+	if cap(c.cur)-len(c.cur) < len(ids) {
+		size := min(max(2*cap(c.cur), minSigChunk), maxSigChunk)
+		c.cur = make([]solana.Signature, 0, max(size, len(ids)))
+	}
+	start := len(c.cur)
+	c.cur = append(c.cur, ids...)
+	return c.cur[start:len(c.cur):len(c.cur)]
 }
 
 // DetailsFor returns the aligned detail slice for a length-3 record, and

@@ -20,6 +20,11 @@ import (
 
 // Transport abstracts the explorer API so studies can run either over real
 // HTTP (the faithful path) or in-process (the fast path for large scales).
+//
+// A returned page is valid until the next call of the same method on the
+// same transport: an implementation may decode into storage it reuses
+// (HTTP does), and a caller copies whatever it keeps. Dataset.Ingest is
+// the one place collection keeps records, and it copies them.
 type Transport interface {
 	// RecentBundles returns up to limit of the most recent bundles,
 	// newest first.
@@ -111,6 +116,11 @@ type HTTP struct {
 	mu       sync.Mutex
 	breakers map[string]*breaker
 	jitterN  uint64
+
+	// recentPage and beforePage hold the last page each method decoded
+	// (see Transport): two, because Collector.poll still holds the
+	// newest page while backfill pages backwards.
+	recentPage, beforePage explorer.PageBuffer
 
 	// Every tally the transport keeps — request attempts, retries,
 	// backoff sleeps, Retry-After honors, bytes read, breaker
@@ -456,18 +466,20 @@ func parseRetryAfter(hdr http.Header, now func() time.Time) time.Duration {
 	return 0
 }
 
-// RecentBundles implements Transport.
+// RecentBundles implements Transport. The page is decoded into storage
+// the transport reuses: it is valid until the next RecentBundles call.
 func (h *HTTP) RecentBundles(limit int) ([]jito.BundleRecord, error) {
-	return h.recent(fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d", h.BaseURL, limit))
+	return h.recent(&h.recentPage, fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d", h.BaseURL, limit))
 }
 
-// RecentBundlesBefore implements Transport.
+// RecentBundlesBefore implements Transport. Like RecentBundles, the page
+// is valid until the next RecentBundlesBefore call.
 func (h *HTTP) RecentBundlesBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, error) {
-	return h.recent(fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d&before=%d",
+	return h.recent(&h.beforePage, fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d&before=%d",
 		h.BaseURL, limit, beforeSeq))
 }
 
-func (h *HTTP) recent(url string) ([]jito.BundleRecord, error) {
+func (h *HTTP) recent(pb *explorer.PageBuffer, url string) ([]jito.BundleRecord, error) {
 	resp, err := h.do("recent", func(ctx context.Context, traceparent string) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
@@ -482,7 +494,7 @@ func (h *HTTP) recent(url string) ([]jito.BundleRecord, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readBounded(h, "recent", resp.Body, explorer.ReadRecent)
+	body, err := readBounded(h, "recent", resp.Body, pb.Read)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding recent bundles: %w", err)
 	}

@@ -14,9 +14,9 @@ import (
 // signer: exactly one mint out, one mint in — the shape every criterion
 // of the paper's methodology is defined over.
 type Trade struct {
-	Signer solana.Pubkey
-	Sold   solana.Pubkey // mint with negative delta
-	Bought solana.Pubkey // mint with positive delta
+	Signer       solana.Pubkey
+	Sold         solana.Pubkey // mint with negative delta
+	Bought       solana.Pubkey // mint with positive delta
 	SoldAmount   uint64
 	BoughtAmount uint64
 }

@@ -13,10 +13,13 @@ package explorer
 //     to json.NewDecoder over the same bytes (followed by the same read
 //     error, if any). Accept/reject, leniency and the error itself are
 //     therefore encoding/json's on every input.
+//   - PageBuffer.Read is ReadRecent decoding into storage it reuses: one
+//     record slice and one flat signature arena per buffer.
 //
 // Body bytes live in pooled scratch buffers; a buffer that grew past
 // maxPooledScratch is dropped rather than pooled, so one huge page
-// cannot pin its size in the heap.
+// cannot pin its size in the heap. A PageBuffer likewise keeps nothing
+// past one MaxPageLimit page of MaxBundleTxs-long bundles.
 
 import (
 	"bytes"
@@ -182,6 +185,38 @@ func ReadRecent(r io.Reader) (RecentResponse, int, error) {
 	return readWire(r, parseRecent)
 }
 
+// Bounds on the storage a PageBuffer keeps between pages: what one
+// MaxPageLimit page of MaxBundleTxs-long bundles needs (compare
+// maxPooledScratch and maxPooledPage).
+const (
+	maxKeptRecords = MaxPageLimit
+	maxKeptSigs    = MaxPageLimit * jito.MaxBundleTxs
+)
+
+// PageBuffer is reusable decode storage for recent-bundles pages: one
+// record slice and one flat signature arena that every decoded record's
+// TxIDs slices into. A response Read returns aliases the buffer and is
+// valid until the next Read on it; a caller copies whatever it keeps.
+// A page that needed more storage than one MaxPageLimit page of
+// MaxBundleTxs-long bundles is decoded into fresh memory, and the
+// buffer then keeps nothing. The zero value is ready to use; a
+// PageBuffer is not safe for concurrent use.
+type PageBuffer struct {
+	recs []jito.BundleRecord
+	sigs []solana.Signature
+}
+
+// Read decodes r's body exactly as ReadRecent does, into pb's storage.
+func (pb *PageBuffer) Read(r io.Reader) (RecentResponse, int, error) {
+	return readWire(r, pb.parse)
+}
+
+// Retained reports the record and signature capacities pb keeps for
+// the next Read.
+func (pb *PageBuffer) Retained() (records, sigs int) {
+	return cap(pb.recs), cap(pb.sigs)
+}
+
 // ReadDetailRequest is ReadRecent for a DetailRequest body.
 func ReadDetailRequest(r io.Reader) (DetailRequest, int, error) {
 	return readWire(r, parseDetailRequest)
@@ -194,24 +229,36 @@ func ReadDetailResponse(r io.Reader) (DetailResponse, int, error) {
 
 // readWire reads r whole into a pooled buffer and decodes it: the
 // canonical form through parse, anything else (or a body whose read
-// failed) through json.Decoder over the same bytes and error.
-func readWire[T any](r io.Reader, parse func([]byte, *T) bool) (T, int, error) {
+// failed) through json.Decoder over the same bytes and error. parse
+// returns its value rather than filling a pointer, so the value stays
+// off the heap on the canonical path.
+func readWire[T any](r io.Reader, parse func([]byte) (T, bool)) (T, int, error) {
 	sp := getScratch()
 	body, rerr := readAll((*sp)[:0], r)
 	var v T
+	ok := false
+	if rerr == nil {
+		v, ok = parse(body)
+	}
 	var err error
-	if rerr != nil || !parse(body, &v) {
-		var zero T
-		v = zero
-		var src io.Reader = bytes.NewReader(body)
-		if rerr != nil {
-			src = io.MultiReader(src, errReader{rerr})
-		}
-		err = json.NewDecoder(src).Decode(&v)
+	if !ok {
+		v, err = decodeJSON[T](body, rerr)
 	}
 	n := len(body)
 	putScratch(sp, body)
 	return v, n, err
+}
+
+// decodeJSON decodes body, followed by rerr when it is not nil, with
+// json.Decoder into a zero T.
+func decodeJSON[T any](body []byte, rerr error) (T, error) {
+	var v T
+	var src io.Reader = bytes.NewReader(body)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	err := json.NewDecoder(src).Decode(&v)
+	return v, err
 }
 
 // readAll is io.ReadAll appending to dst; EOF is not an error.
@@ -246,31 +293,72 @@ const (
 	minSigLen    = len(`""`) + 64
 )
 
-func parseRecent(b []byte, v *RecentResponse) bool {
+// parseRecent parses a canonical recent page into fresh storage.
+func parseRecent(b []byte) (RecentResponse, bool) {
+	var pb PageBuffer
+	return pb.parse(b)
+}
+
+// parse is the canonical recent-page parser. It sizes the record slice
+// and the signature arena once, from the body: in the canonical form
+// every quote belongs to the top-level key, to one of a record's six
+// keys or its bundle id, or to a signature, so the counts are exact,
+// and each is capped by what the body's length could hold.
+func (pb *PageBuffer) parse(b []byte) (v RecentResponse, ok bool) {
 	p := parser{b: b, ok: true}
 	p.lit(`{"bundles":`)
 	if !p.null() {
 		p.lit("[")
-		n := min(bytes.Count(b, []byte(`{"seq":`)), len(b)/minRecordLen)
-		v.Bundles = make([]jito.BundleRecord, 0, n)
-		for more := !p.skip(']'); more && p.ok; more = p.next() {
-			v.Bundles = append(v.Bundles, jito.BundleRecord{})
-			p.record(&v.Bundles[len(v.Bundles)-1])
+		if !p.ok {
+			return v, false
 		}
+		nrec := min(bytes.Count(b, []byte(`{"seq":`)), len(b)/minRecordLen)
+		nsig := min(max(bytes.Count(b, []byte{'"'})/2-1-7*nrec, 0), len(b)/minSigLen)
+		recs, sigs := pb.recs[:0], pb.sigs[:0]
+		if cap(recs) < nrec {
+			recs = make([]jito.BundleRecord, 0, nrec)
+		}
+		if cap(sigs) < nsig {
+			sigs = make([]solana.Signature, 0, nsig)
+		}
+		p.arena = sigs
+		for more := !p.skip(']'); more && p.ok; more = p.next() {
+			recs = append(recs, jito.BundleRecord{})
+			p.record(&recs[len(recs)-1])
+		}
+		if recs == nil {
+			recs = []jito.BundleRecord{}
+		}
+		v.Bundles = recs
+		pb.keep(recs, p.arena)
 	}
 	p.lit("}")
-	return p.ok
+	return v, p.ok
 }
 
-func parseDetailRequest(b []byte, v *DetailRequest) bool {
+// keep retains the page's storage for the next Read. A page past either
+// bound keeps nothing: its records point into an arena too large to
+// hold, and a normal page regrows both buffers at its own size.
+func (pb *PageBuffer) keep(recs []jito.BundleRecord, sigs []solana.Signature) {
+	if cap(recs) > maxKeptRecords || cap(sigs) > maxKeptSigs {
+		pb.recs, pb.sigs = nil, nil
+		return
+	}
+	pb.recs, pb.sigs = recs[:0], sigs[:0]
+}
+
+func parseDetailRequest(b []byte) (v DetailRequest, ok bool) {
 	p := parser{b: b, ok: true}
+	// Every quote pair but the key's is a signature's.
+	n := min(max(bytes.Count(b, []byte{'"'})/2-1, 0), len(b)/minSigLen)
+	p.arena = make([]solana.Signature, 0, n)
 	p.lit(`{"ids":`)
 	v.IDs = p.sigs()
 	p.lit("}")
-	return p.ok
+	return v, p.ok
 }
 
-func parseDetailResponse(b []byte, v *DetailResponse) bool {
+func parseDetailResponse(b []byte) (v DetailResponse, ok bool) {
 	p := parser{b: b, ok: true}
 	p.lit(`{"transactions":`)
 	if !p.null() {
@@ -283,7 +371,7 @@ func parseDetailResponse(b []byte, v *DetailResponse) bool {
 		}
 	}
 	p.lit("}")
-	return p.ok
+	return v, p.ok
 }
 
 // parser walks the canonical wire form. Any deviation clears ok, after
@@ -293,6 +381,9 @@ type parser struct {
 	b  []byte
 	i  int
 	ok bool
+
+	// arena holds every signature sigs parses, sized once per body.
+	arena []solana.Signature
 }
 
 // lit consumes the exact bytes s.
@@ -383,29 +474,25 @@ func (p *parser) quoted58(dst []byte) {
 	p.i += end + 1
 }
 
-// sigs parses a null or an array of signature literals.
+// sigs parses a null or an array of signature literals into the arena:
+// the result is a window of it, capped so an append to one record's
+// TxIDs cannot reach the next record's.
 func (p *parser) sigs() []solana.Signature {
 	if p.null() {
 		return nil
 	}
 	p.lit("[")
-	if !p.ok {
-		return nil
-	}
-	// Size the slice from the bytes up to the closing bracket (base58 has
-	// none), bounded by what that span could hold.
-	span := bytes.IndexByte(p.b[p.i:], ']')
-	if span < 0 {
-		p.ok = false
-		return nil
-	}
-	n := min(bytes.Count(p.b[p.i:p.i+span], []byte{'"'})/2, span/minSigLen+1)
-	out := make([]solana.Signature, 0, n)
+	start := len(p.arena)
 	for more := !p.skip(']'); more && p.ok; more = p.next() {
-		out = append(out, solana.Signature{})
-		p.quoted58(out[len(out)-1][:])
+		p.arena = append(p.arena, solana.Signature{})
+		p.quoted58(p.arena[len(p.arena)-1][:])
 	}
-	return out
+	if len(p.arena) == start {
+		// Empty, not nil: a window of an arena without storage would
+		// be nil.
+		return []solana.Signature{}
+	}
+	return p.arena[start:len(p.arena):len(p.arena)]
 }
 
 func (p *parser) record(r *jito.BundleRecord) {

@@ -140,14 +140,15 @@ func TestWireGoldenMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func checkGolden[T any](t *testing.T, name string, v T, got []byte, parse func([]byte, *T) bool) {
+func checkGolden[T any](t *testing.T, name string, v T, got []byte, parse func([]byte) (T, bool)) {
 	t.Helper()
 	want := jsonEncode(t, v)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: codec wrote\n%s\nencoding/json wrote\n%s", name, got, want)
 	}
-	var direct, ref T
-	if !parse(got, &direct) {
+	var ref T
+	direct, ok := parse(got)
+	if !ok {
 		t.Fatalf("%s: canonical body fell back to encoding/json", name)
 	}
 	if err := json.NewDecoder(bytes.NewReader(got)).Decode(&ref); err != nil {
@@ -379,7 +380,66 @@ func FuzzDecodeRecent(f *testing.F) {
 		bodies = append(bodies, AppendRecent(nil, v))
 	}
 	wireCorpus(f, bodies)
-	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body, ReadRecent) })
+	// Two different bodies leave a buffer dirty before each input: the
+	// 20-record page, and one mixing empty and null transactions.
+	dirty := [][]byte{bodies[len(bodies)-1], AppendRecent(nil, recent[3])}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body, ReadRecent)
+		for _, d := range dirty {
+			if !bytes.Equal(d, body) {
+				checkReuse(t, d, body)
+			}
+		}
+	})
+}
+
+// checkReuse decodes body into a PageBuffer left dirty by decoding
+// dirty, and requires exactly what a fresh ReadRecent returns: the same
+// value (nil and empty TxIDs told apart), byte count, error and fault
+// class.
+func checkReuse(t *testing.T, dirty, body []byte) {
+	t.Helper()
+	var pb PageBuffer
+	if _, _, err := pb.Read(bytes.NewReader(dirty)); err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := pb.Read(bytes.NewReader(body))
+	want, wn, werr := ReadRecent(bytes.NewReader(body))
+	if n != wn || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("reused buffer read (%d, %v), fresh (%d, %v) on %q", n, err, wn, werr, body)
+	}
+	if err != nil && faults.DecodeClass(err) != faults.DecodeClass(werr) {
+		t.Fatalf("fault class %v, want %v", faults.DecodeClass(err), faults.DecodeClass(werr))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused buffer decoded %+v, fresh %+v from %q", got, want, body)
+	}
+}
+
+// TestPageBufferAllocsFlat pins the reusing decode's allocations per
+// page: warmed buffers make a 200-record page cost exactly what a
+// 20-record page does.
+func TestPageBufferAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops body buffers under the race detector")
+	}
+	rng := rand.New(rand.NewSource(16))
+	allocs := func(n int) float64 {
+		body := AppendRecent(nil, RecentResponse{Bundles: genRecords(rng, n)})
+		r := bytes.NewReader(body)
+		var pb PageBuffer
+		read := func() {
+			r.Reset(body)
+			if v, _, err := pb.Read(r); err != nil || len(v.Bundles) != n {
+				t.Fatalf("%d-record page: %d records, %v", n, len(v.Bundles), err)
+			}
+		}
+		read()
+		return testing.AllocsPerRun(50, read)
+	}
+	if a20, a200 := allocs(20), allocs(200); a20 != a200 {
+		t.Fatalf("warmed decode: %v allocations for 20 records, %v for 200", a20, a200)
+	}
 }
 
 func FuzzDecodeDetailRequest(f *testing.F) {
@@ -442,6 +502,21 @@ func BenchmarkDecodeRecent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
 		if _, _, err := ReadRecent(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeRecentReused(b *testing.B) {
+	body := AppendRecent(nil, benchPage())
+	r := bytes.NewReader(body)
+	var pb PageBuffer
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(body)
+		if _, _, err := pb.Read(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,9 +138,7 @@ func (l *Ledger) Summary() LedgerSummary {
 		s.Days = append(s.Days, *w)
 	}
 	s.Day = 0
-	if missed := s.Gaps * uint64(l.pageLimit); missed > s.BackfillRecovered {
-		s.EstimatedMissed = missed - s.BackfillRecovered
-	}
+	s.EstimatedMissed = l.estimatedMissed()
 	if s.Pairs > 0 {
 		s.OverlapRate = float64(s.OverlapPairs) / float64(s.Pairs)
 	}
@@ -151,4 +149,20 @@ func (l *Ledger) Summary() LedgerSummary {
 		s.CoverageRate = float64(s.NewBundles) / float64(s.Generated)
 	}
 	return s
+}
+
+// estimatedMissed is LedgerSummary.EstimatedMissed, summed over the day
+// windows without building a Summary: the gauge the Sentinel refreshes
+// on every paired poll reads it, and Summary does too, so the two
+// cannot disagree.
+func (l *Ledger) estimatedMissed() uint64 {
+	var gaps, recovered uint64
+	for _, w := range l.days {
+		gaps += w.Gaps
+		recovered += w.BackfillRecovered
+	}
+	if missed := gaps * uint64(l.pageLimit); missed > recovered {
+		return missed - recovered
+	}
+	return 0
 }

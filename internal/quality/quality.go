@@ -386,7 +386,7 @@ func (s *Sentinel) publishMissedLocked() {
 	if s.missedG == nil {
 		return
 	}
-	s.missedG.Set(int64(s.led.Summary().EstimatedMissed))
+	s.missedG.Set(int64(s.led.estimatedMissed()))
 }
 
 // LedgerSummary snapshots the coverage ledger.

@@ -189,13 +189,13 @@ type Engine struct {
 	// front-popped queues with an explicit head index — popping by
 	// reslicing would burn the front capacity and force a reallocation
 	// every few appends.
-	head      solana.Slot
-	headSet   bool
-	sealedTo  solana.Slot
-	hasSealed bool
-	pending   map[solana.Slot]*slotJob
-	order     []solana.Slot // pending slots, ascending from ordHead
-	ordHead   int
+	head       solana.Slot
+	headSet    bool
+	sealedTo   solana.Slot
+	hasSealed  bool
+	pending    map[solana.Slot]*slotJob
+	order      []solana.Slot // pending slots, ascending from ordHead
+	ordHead    int
 	ids        map[jito.BundleID]struct{}
 	retired    []retiredSlot // dedup history, live from retHead
 	retHead    int
@@ -224,8 +224,8 @@ type Engine struct {
 	verdicts  uint64
 	disguised uint64
 
-	cEvents, cLate, cDup, cSealed  *obs.Counter
-	cVerdicts, cDisguised          *obs.Counter
+	cEvents, cLate, cDup, cSealed      *obs.Counter
+	cVerdicts, cDisguised              *obs.Counter
 	hIngestSeal, hSealVerdict, hDetect *obs.Histogram
 }
 
