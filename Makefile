@@ -1,8 +1,9 @@
 GO ?= go
 
 # Concurrency-bearing packages exercised under the race detector: the
-# worker pool, the sharded analysis fan-in, the pipelined
-# generation→ingest sink, the parallel snapshot encode/decode, the
+# ordered pool every detection pass shares, the chunked analysis fold,
+# the pipelined generation→ingest sink, the parallel snapshot
+# encode/decode, the
 # fault injector (atomic call counters shared across goroutines), the
 # explorer store/server (writer vs. scraper interleavings), and the
 # metrics registry (atomic counters incremented from every pipeline
@@ -11,7 +12,7 @@ GO ?= go
 # while /qualityz evaluates concurrently), and the out-of-core query
 # engine (detection mapped onto the decode pool, folds on one
 # goroutine), and the incremental stream engine (concurrent Offer vs.
-# the detect worker pool vs. the ordered fold goroutine), and the
+# the pool's detect workers vs. its ordered fold), and the
 # collection fleet (lease table hammered by concurrent replicas, TTL
 # expiry racing renewals, checkpoint posts fenced by epoch), and the SLO
 # engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).

@@ -7,10 +7,10 @@ import (
 )
 
 // Observability for the concurrency primitives. Everything recorded here
-// is scheduling-dependent — shard counts change with the worker count,
-// busy time and queue depth with the interleaving — so every family is
-// registered Volatile: visible on /metrics and in summaries, excluded
-// from the deterministic snapshot the worker-count tests compare.
+// is scheduling-dependent — busy time and queue depth change with the
+// interleaving — so every family is registered Volatile: visible on
+// /metrics and in summaries, excluded from the deterministic snapshot
+// the worker-count tests compare.
 const (
 	famShardSeconds = "parallel_shard_seconds"
 	famShards       = "parallel_shards_total"
@@ -19,64 +19,37 @@ const (
 	famQueuePushes  = "parallel_queue_pushes_total"
 )
 
-// instrument is the per-call handle bundle for an instrumented stage.
+// instrument is the per-pool handle bundle for an instrumented stage.
 type instrument struct {
 	shardDur *obs.Histogram
 	shards   *obs.Counter
 	busy     *obs.FloatGauge
 }
 
-func newInstrument(reg *obs.Registry, stage string) instrument {
-	if reg == nil {
-		return instrument{}
-	}
-	reg.Volatile(famShardSeconds, famShards, famWorkerBusy, famQueueHW, famQueuePushes)
-	return instrument{
-		shardDur: reg.Histogram(famShardSeconds, obs.DurationBuckets, "stage", stage),
-		shards:   reg.Counter(famShards, "stage", stage),
-		busy:     reg.FloatGauge(famWorkerBusy, "stage", stage),
-	}
+// observe records one produce call that began at start.
+func (in instrument) observe(start time.Time) {
+	d := time.Since(start).Seconds()
+	in.shardDur.Observe(d)
+	in.busy.Add(d)
+	in.shards.Inc()
 }
 
-// MapReduceObs is MapReduce with per-shard observability: every shard's
-// wall time lands in a (volatile) duration histogram, the shard count in
-// a counter, and the summed per-worker busy time in a float gauge — the
-// before/after surface for judging how well a stage parallelizes. A nil
-// registry selects the uninstrumented path with zero overhead.
-func MapReduceObs[T any](reg *obs.Registry, stage string, workers, n int, mapRange func(lo, hi int) T, reduce func(T)) {
-	if reg == nil {
-		MapReduce(workers, n, mapRange, reduce)
-		return
+// NewOrderedObs is NewOrdered with per-item observability: every produce
+// call's wall time lands in a (volatile) duration histogram, the item
+// count in a counter, and the summed busy time in a float gauge, all
+// labelled with stage — the before/after surface for judging how well a
+// stage parallelizes. A nil registry selects the uninstrumented pool.
+func NewOrderedObs[In, Out any](reg *obs.Registry, stage string, workers int, produce func(In) Out, consume func(Out)) *Ordered[In, Out] {
+	p := NewOrdered(workers, produce, consume)
+	if reg != nil {
+		reg.Volatile(famShardSeconds, famShards, famWorkerBusy, famQueueHW, famQueuePushes)
+		p.inst = instrument{
+			shardDur: reg.Histogram(famShardSeconds, obs.DurationBuckets, "stage", stage),
+			shards:   reg.Counter(famShards, "stage", stage),
+			busy:     reg.FloatGauge(famWorkerBusy, "stage", stage),
+		}
 	}
-	in := newInstrument(reg, stage)
-	MapReduce(workers, n, func(lo, hi int) T {
-		start := time.Now()
-		out := mapRange(lo, hi)
-		d := time.Since(start).Seconds()
-		in.shardDur.Observe(d)
-		in.busy.Add(d)
-		in.shards.Inc()
-		return out
-	}, reduce)
-}
-
-// OrderedStreamObs is OrderedStream with the same per-shard
-// observability as MapReduceObs.
-func OrderedStreamObs[T any](reg *obs.Registry, stage string, workers, n int, produce func(int) T, consume func(T)) {
-	if reg == nil {
-		OrderedStream(workers, n, produce, consume)
-		return
-	}
-	in := newInstrument(reg, stage)
-	OrderedStream(workers, n, func(i int) T {
-		start := time.Now()
-		out := produce(i)
-		d := time.Since(start).Seconds()
-		in.shardDur.Observe(d)
-		in.busy.Add(d)
-		in.shards.Inc()
-		return out
-	}, consume)
+	return p
 }
 
 // queueObs carries a Queue's registry handles.

@@ -1,32 +1,29 @@
 // Package parallel provides the deterministic concurrency building blocks
-// the pipeline's hot paths share: a bounded worker pool running an
-// ordered, sharded map/reduce whose fan-in merges partial results in
-// shard order — so a parallel pass reproduces the serial pass bit for
-// bit — and a bounded ordered queue that pipelines a producer with a
-// single consumer goroutine while preserving submission order exactly.
+// the pipeline shares: Ordered, the one worker pool behind every
+// detection, encode and decode pass, and Queue, the bounded FIFO that
+// pipelines generation with ingest.
 //
 // Determinism is the repo's core fidelity guarantee: every figure and
 // headline statistic must be a pure function of (seed, days, scale),
-// regardless of GOMAXPROCS or scheduling. Both primitives here are
-// designed around that constraint rather than raw throughput: shard
-// boundaries depend only on (n, workers) and reduction order depends
-// only on shard index, never on which worker finished first.
+// regardless of GOMAXPROCS or scheduling. Ordered is built around that
+// constraint rather than raw throughput: callers submit work in a fixed
+// order, results are consumed in exactly that order on one goroutine,
+// and how the work was cut into items never depends on the worker
+// count — so a pass over many workers folds the same sequence a serial
+// pass does, bit for bit.
 package parallel
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
-
-// shardFactor oversubscribes shards versus workers so uneven per-shard
-// costs load-balance across the pool without disturbing the
-// deterministic merge order.
-const shardFactor = 4
 
 // Workers resolves a worker-count knob: zero or negative selects
 // GOMAXPROCS (use every core), any positive count is returned as-is.
-// By convention across the repo, 1 selects the serial reference path.
+// By convention across the repo, 1 runs every stage inline on the
+// caller's goroutine.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -34,125 +31,148 @@ func Workers(n int) int {
 	return n
 }
 
-// MapReduce splits [0, n) into contiguous shards, runs mapRange over the
-// shards on a bounded pool of workers, and calls reduce once per shard
-// in ascending shard order. Shard boundaries are a pure function of
-// (n, workers) and the fan-in buffers every partial result, so reduce
-// observes exactly the left-to-right order a serial pass would produce —
-// identical reductions at any worker count, including floating-point
-// accumulation order when reduce replays per-item contributions.
+// Ordered is a bounded, order-preserving worker pool. The caller submits
+// items from one goroutine; produce runs on up to workers goroutines,
+// and consume receives every result in submission order on a single
+// goroutine. At most Window items are in flight — submitted but not yet
+// consumed — so Submit blocks rather than buffer without bound, and peak
+// memory is set by the window, not by how many items a caller submits.
 //
-// mapRange runs concurrently and must not share mutable state; reduce
-// always runs on the calling goroutine after every shard completes.
-func MapReduce[T any](workers, n int, mapRange func(lo, hi int) T, reduce func(T)) {
-	if n <= 0 {
+// At one worker, Submit runs produce and consume inline on the
+// submitting goroutine and no goroutine is ever started. Otherwise the
+// workers and the consume goroutine start with the first submissions
+// and exit in Close. produce and consume are fixed at construction and
+// items travel through a fixed ring of slots, so a warm pool allocates
+// nothing per item.
+//
+// produce runs concurrently and must not share mutable state; consume
+// must not call back into the pool.
+type Ordered[In, Out any] struct {
+	produce func(In) Out
+	consume func(Out)
+	workers int
+	inst    instrument
+
+	slots   []orderedSlot[In, Out] // ring of Window slots
+	next    int                    // submission count, submitter-owned
+	started int                    // workers started so far
+	tokens  chan struct{}          // semaphore: one token per item in flight
+	// work and order are sized to the window: every index in them holds
+	// a token, so sends to them never block.
+	work  chan int      // slots awaiting produce
+	order chan int      // slots awaiting consume, in submission order
+	done  chan struct{} // closed when the consume goroutine exits
+	wg    sync.WaitGroup
+}
+
+// orderedSlot carries one item from Submit through produce to consume;
+// ready is signalled once out holds produce's result.
+type orderedSlot[In, Out any] struct {
+	in    In
+	out   Out
+	ready chan struct{}
+}
+
+// NewOrdered builds a pool of Workers(workers) goroutines. Call Close
+// exactly once, after every item is submitted.
+func NewOrdered[In, Out any](workers int, produce func(In) Out, consume func(Out)) *Ordered[In, Out] {
+	p := &Ordered[In, Out]{produce: produce, consume: consume, workers: Workers(workers)}
+	if p.workers == 1 {
+		return p
+	}
+	w := p.Window()
+	p.slots = make([]orderedSlot[In, Out], w)
+	for i := range p.slots {
+		p.slots[i].ready = make(chan struct{}, 1)
+	}
+	p.tokens = make(chan struct{}, w)
+	p.work = make(chan int, w)
+	p.order = make(chan int, w)
+	p.done = make(chan struct{})
+	return p
+}
+
+// Window is the most items the pool holds in flight: two per worker, so
+// every worker has a next item queued while the consumer drains.
+func (p *Ordered[In, Out]) Window() int {
+	if p.workers == 1 {
+		return 1
+	}
+	return 2 * p.workers
+}
+
+// Submit hands one item to the pool, blocking while the window is full.
+// At one worker it returns after the item is consumed.
+func (p *Ordered[In, Out]) Submit(v In) {
+	if p.workers == 1 {
+		p.consume(p.run(v))
 		return
 	}
-	workers = Workers(workers)
-	if workers == 1 {
-		reduce(mapRange(0, n))
+	p.tokens <- struct{}{}
+	if p.next == 0 {
+		go p.consumeLoop()
+	}
+	if p.started < p.workers {
+		p.started++
+		p.wg.Add(1)
+		go p.worker()
+	}
+	i := p.next % len(p.slots)
+	p.next++
+	p.slots[i].in = v
+	p.work <- i
+	p.order <- i
+}
+
+// Close waits until every submitted item is consumed and stops the
+// pool's goroutines.
+func (p *Ordered[In, Out]) Close() {
+	if p.workers == 1 {
 		return
 	}
-	shards := workers * shardFactor
-	if shards > n {
-		shards = n
+	close(p.work)
+	close(p.order)
+	if p.next > 0 {
+		<-p.done
 	}
-	size := (n + shards - 1) / shards
-	shards = (n + size - 1) / size // drop empty tail shards
-	if workers > shards {
-		workers = shards
-	}
+	p.wg.Wait()
+}
 
-	results := make([]T, shards)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= shards {
-					return
-				}
-				lo := i * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				results[i] = mapRange(lo, hi)
-			}
-		}()
+// run is produce, timed when the pool is instrumented.
+func (p *Ordered[In, Out]) run(v In) Out {
+	if p.inst.shards == nil {
+		return p.produce(v)
 	}
-	wg.Wait()
+	start := time.Now()
+	out := p.produce(v)
+	p.inst.observe(start)
+	return out
+}
 
-	for i := range results {
-		reduce(results[i])
+func (p *Ordered[In, Out]) worker() {
+	defer p.wg.Done()
+	for i := range p.work {
+		s := &p.slots[i]
+		s.out = p.run(s.in)
+		s.ready <- struct{}{}
 	}
 }
 
-// OrderedStream runs produce(0..n-1) on a bounded pool of workers and
-// feeds every result to consume in strict index order on the calling
-// goroutine. Unlike MapReduce it never buffers more than ~2×workers
-// results: a worker must hold a window token before claiming an index,
-// and the consumer returns tokens as it drains, so peak memory is
-// bounded by the window rather than n. The snapshot writer uses this to
-// compress shards on every core while emitting them to a single
-// io.Writer in a deterministic order.
-//
-// produce runs concurrently and must not share mutable state; consume
-// always runs on the calling goroutine.
-func OrderedStream[T any](workers, n int, produce func(int) T, consume func(T)) {
-	if n <= 0 {
-		return
+// consumeLoop drains slots in submission order. A slot is cleared before
+// its token returns, so the ring pins nothing already consumed; the
+// token returns after consume, so a slow consumer holds the window.
+func (p *Ordered[In, Out]) consumeLoop() {
+	defer close(p.done)
+	var zeroIn In
+	var zeroOut Out
+	for i := range p.order {
+		s := &p.slots[i]
+		<-s.ready
+		out := s.out
+		s.in, s.out = zeroIn, zeroOut
+		p.consume(out)
+		<-p.tokens
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			consume(produce(i))
-		}
-		return
-	}
-
-	window := 2 * workers
-	if window > n {
-		window = n
-	}
-	sem := make(chan struct{}, window)
-	out := make([]chan T, n)
-	for i := range out {
-		out[i] = make(chan T, 1)
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Acquire the window slot before claiming an index:
-				// indices are claimed in order, so every unconsumed
-				// index below the newest claim holds a token and the
-				// consumer can always make progress.
-				sem <- struct{}{}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					<-sem
-					return
-				}
-				out[i] <- produce(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		consume(<-out[i])
-		<-sem
-	}
-	wg.Wait()
 }
 
 // Queue is a bounded FIFO connecting one producer to one consumer

@@ -125,7 +125,7 @@ type shardResult struct {
 	long    report.LongPartial
 }
 
-// heapSampleEvery bounds how often the fold goroutine pays for a
+// heapSampleEvery bounds how often the fold pays for a
 // runtime.ReadMemStats: every 32 shards keeps the gauge honest at a
 // fraction of a percent of scan time.
 const heapSampleEvery = 32

@@ -68,7 +68,7 @@ type Results struct {
 }
 
 // Analyze runs the detector over a collected dataset and computes every
-// reported statistic, sharding the detection pass across all cores.
+// reported statistic, running detection on every core.
 // solPriceUSD ≤ 0 selects the paper's $242 rate. Equivalent to
 // AnalyzeN(data, det, solPriceUSD, 0).
 func Analyze(data *collector.Dataset, det *core.Detector, solPriceUSD float64) *Results {
@@ -82,20 +82,21 @@ func Analyze(data *collector.Dataset, det *core.Detector, solPriceUSD float64) *
 func verdictEst(n int) int { return n/16 + 8 }
 
 // hit is one positive verdict with its study day, recorded by a detection
-// shard in index order and replayed by the deterministic fan-in.
+// chunk in index order and replayed by the ordered fold.
 type hit struct {
 	v   core.Verdict
 	day int
 }
 
 // AnalyzeN is Analyze with an explicit worker count: 0 selects
-// GOMAXPROCS, 1 runs the legacy single-core pass (kept as the reference
-// implementation), and any other count shards data.Len3 and data.Long
-// across that many workers. Detection — the hot, pure per-bundle work —
-// runs in the shards; every statistic that cares about order (verdict
-// ordering, float accumulation into totals, time series and ECDF
-// samples) is replayed on the calling goroutine in shard order, so the
-// Results are identical at every worker count, bit for bit.
+// GOMAXPROCS, 1 runs the whole pass on the calling goroutine, and any
+// other count runs detection on that many workers. data.Len3 and
+// data.Long are cut into fixed-size chunks whatever the count.
+// Detection — the hot, pure per-bundle work — runs per chunk; every
+// statistic that cares about order (verdict ordering, float
+// accumulation into totals, time series and ECDF samples) is folded
+// chunk by chunk in record order, so the Results are identical at every
+// worker count, bit for bit.
 func AnalyzeN(data *collector.Dataset, det *core.Detector, solPriceUSD float64, workers int) *Results {
 	return AnalyzeObs(data, det, solPriceUSD, workers, nil)
 }
@@ -104,9 +105,9 @@ func AnalyzeN(data *collector.Dataset, det *core.Detector, solPriceUSD float64, 
 // uninstrumented): per-criterion rejection counters
 // (detect_rejections_total{criterion=…}), sandwich/disguised tallies,
 // and pipeline spans timing the length-3 and extended stages. All
-// counter values are deterministic at any worker count — the shard
-// fan-in replays the serial order — so they sit in the deterministic
-// snapshot; only the stage durations are volatile.
+// counter values are deterministic at any worker count — the folds
+// replay record order — so they sit in the deterministic snapshot; only
+// the stage durations are volatile.
 func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64, workers int, reg *obs.Registry) *Results {
 	workers = parallel.Workers(workers)
 	a := NewAccumulator(det, solPriceUSD, Scope{
@@ -128,19 +129,9 @@ func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64
 	sp := tr.StartChild("analyze_len3")
 	span := reg.StartSpan("analyze_len3")
 	span.AddItems(len(data.Len3))
-	if workers == 1 {
-		// Serial reference pass: one partial over the whole population.
-		a.FoldLen3(a.DetectLen3(data.Len3, datasetSource(data, data.Len3)))
-	} else {
-		// Sharded pass: workers run the pure per-bundle detection over
-		// contiguous index ranges; the fan-in replays hits in shard order.
-		parallel.MapReduceObs(reg, "analyze_len3", workers, len(data.Len3),
-			func(lo, hi int) Len3Partial {
-				recs := data.Len3[lo:hi]
-				return a.DetectLen3(recs, datasetSource(data, recs))
-			},
-			a.FoldLen3)
-	}
+	inChunks(reg, "analyze_len3", workers, data.Len3, func(recs []jito.BundleRecord) Len3Partial {
+		return a.DetectLen3(recs, datasetSource(data, recs))
+	}, a.FoldLen3)
 	span.End()
 	sp.End()
 
@@ -149,16 +140,9 @@ func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64
 	sp = tr.StartChild("analyze_extended")
 	span = reg.StartSpan("analyze_extended")
 	span.AddItems(len(data.Long))
-	if workers == 1 {
-		a.FoldLong(a.DetectLong(data.Long, datasetSource(data, data.Long)))
-	} else {
-		parallel.MapReduceObs(reg, "analyze_extended", workers, len(data.Long),
-			func(lo, hi int) LongPartial {
-				recs := data.Long[lo:hi]
-				return a.DetectLong(recs, datasetSource(data, recs))
-			},
-			a.FoldLong)
-	}
+	inChunks(reg, "analyze_extended", workers, data.Long, func(recs []jito.BundleRecord) LongPartial {
+		return a.DetectLong(recs, datasetSource(data, recs))
+	}, a.FoldLong)
 	span.End()
 	sp.End()
 
@@ -168,6 +152,21 @@ func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64
 	tr.Annotatef("sandwiches:%d", res.Sandwiches)
 	tr.End()
 	return res
+}
+
+// detectChunk is how many records one pool item carries. The cut is
+// fixed, never derived from the worker count, so the fold sequence is
+// the same at every count.
+const detectChunk = 1024
+
+// inChunks runs detect over recs chunk by chunk on a pool of workers
+// and hands every result to fold in record order on one goroutine.
+func inChunks[P any](reg *obs.Registry, stage string, workers int, recs []jito.BundleRecord, detect func([]jito.BundleRecord) P, fold func(P)) {
+	p := parallel.NewOrderedObs(reg, stage, workers, detect, fold)
+	for lo := 0; lo < len(recs); lo += detectChunk {
+		p.Submit(recs[lo:min(lo+detectChunk, len(recs))])
+	}
+	p.Close()
 }
 
 // datasetSource adapts a resident dataset's detail set to the fold's
@@ -223,7 +222,7 @@ type Truther interface {
 }
 
 // Ablate runs both detectors over the dataset and scores them against
-// ground truth, sharding across all cores. Only length-3 bundles with
+// ground truth, on every core. Only length-3 bundles with
 // fetched details participate (both detectors see identical inputs).
 // Equivalent to AblateN(data, det, truth, 0).
 func Ablate(data *collector.Dataset, det *core.Detector, truth Truther) AblationResult {
@@ -231,17 +230,17 @@ func Ablate(data *collector.Dataset, det *core.Detector, truth Truther) Ablation
 }
 
 // AblateN is Ablate with an explicit worker count (0 = GOMAXPROCS,
-// 1 = serial reference). Confusion counts are integers, so the sharded
-// tally is identical to the serial one at any worker count. truth must
-// be safe for concurrent reads (both ground-truth implementations are
-// read-only after the study runs).
+// 1 = the calling goroutine only). Confusion counts are integers, so
+// the tally is identical at any worker count. truth must be safe for
+// concurrent reads (both ground-truth implementations are read-only
+// after the study runs).
 func AblateN(data *collector.Dataset, det *core.Detector, truth Truther, workers int) AblationResult {
 	var ab AblationResult
-	scoreRange := func(lo, hi int) AblationResult {
+	inChunks(nil, "", workers, data.Len3, func(recs []jito.BundleRecord) AblationResult {
 		var part AblationResult
 		var scratch []jito.TxDetail
-		for i := lo; i < hi; i++ {
-			rec := &data.Len3[i]
+		for i := range recs {
+			rec := &recs[i]
 			var ok bool
 			scratch, ok = data.AppendDetails(scratch[:0], rec)
 			if !ok {
@@ -252,8 +251,7 @@ func AblateN(data *collector.Dataset, det *core.Detector, truth Truther, workers
 			part.Naive.Observe(core.DetectNaive(rec, scratch).Sandwich, actual)
 		}
 		return part
-	}
-	parallel.MapReduce(workers, len(data.Len3), scoreRange, func(part AblationResult) {
+	}, func(part AblationResult) {
 		ab.Full.Merge(part.Full)
 		ab.Naive.Merge(part.Naive)
 	})

@@ -30,7 +30,7 @@ func writeWithOrphans(tb testing.TB, s *Snapshot, orphans []jito.TxDetail) []byt
 		set.Put(orphans[i])
 		sigs[i] = orphans[i].Sig
 	}
-	bw.sectionV3(secOrphans, len(sigs), orphanShardSize, 1, func(lo, hi int) ([]byte, ShardMeta, error) {
+	bw.sectionV3(secOrphans, len(sigs), orphanShardSize, 1, true, func(lo, hi int) ([]byte, ShardMeta, error) {
 		return encodeOrphanShard(sigs[lo:hi], set, clock)
 	})
 	bw.byte1(secEnd)

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"jitomev/internal/jito"
-	"jitomev/internal/parallel"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
@@ -61,15 +60,6 @@ func (in *interner) intern(p solana.Pubkey) uint64 {
 	return i
 }
 
-// shardFrame is one encoded-and-compressed shard ready to be framed into
-// the output stream.
-type shardFrame struct {
-	items int
-	raw   int
-	blob  []byte
-	err   error
-}
-
 // writer wraps the destination with buffering and sticky error state.
 type writer struct {
 	w   *bufio.Writer
@@ -94,40 +84,13 @@ func (w *writer) uvarint(v uint64) {
 	w.bytes(appendUvarint(w.scr[:0], v))
 }
 
-// section emits one header section: its header, then shardCount frames
-// produced by encode(lo, hi) over [0, totalItems) in fixed-size slices,
+// section emits one header section: its header, then one frame per
+// fixed-size slice of [0, totalItems) produced by encode(lo, hi),
 // encoded and emitted serially in shard order.
 func (w *writer) section(id byte, totalItems, shardSize int, encode func(lo, hi int) ([]byte, error)) {
-	if w.err != nil {
-		return
-	}
-	shards := (totalItems + shardSize - 1) / shardSize
-	w.byte1(id)
-	w.uvarint(uint64(shards))
-	w.uvarint(uint64(totalItems))
-	parallel.OrderedStreamObs(w.m.reg, "snapshot_encode", 1, shards, func(i int) shardFrame {
-		lo := i * shardSize
-		hi := lo + shardSize
-		if hi > totalItems {
-			hi = totalItems
-		}
+	w.sectionV3(id, totalItems, shardSize, 1, false, func(lo, hi int) ([]byte, ShardMeta, error) {
 		raw, err := encode(lo, hi)
-		if err != nil {
-			return shardFrame{err: err}
-		}
-		return shardFrame{items: hi - lo, raw: len(raw), blob: compressShard(raw)}
-	}, func(f shardFrame) {
-		if w.err == nil && f.err != nil {
-			w.err = f.err
-		}
-		if w.err != nil {
-			return
-		}
-		w.m.frame(f.raw, len(f.blob))
-		w.uvarint(uint64(f.items))
-		w.uvarint(uint64(f.raw))
-		w.uvarint(uint64(len(f.blob)))
-		w.bytes(f.blob)
+		return raw, ShardMeta{}, err
 	})
 }
 

@@ -56,8 +56,10 @@ func scanCopies(data []byte, workers int, mapped bool) ([]shardCopy, error) {
 // detail set its batches' details make in scan order. The corpus is a
 // small snapshot with aligned details and token deltas (two len-3
 // shards, a long shard and an orphan shard) and its truncations, an
-// empty snapshot (every section present with zero shards), and a file
-// with one signature in a bundle shard and again in the orphan shard.
+// empty snapshot (every section present with zero shards), a file
+// with one signature in a bundle shard and again in the orphan shard,
+// and an empty snapshot cut off after a len3 header claiming 2^24
+// shards.
 func FuzzScan(f *testing.F) {
 	good := fuzzSeed(f, alignedSnapshot(71, bundleShardSize+40, 3, 0.8))
 	f.Add(good)
@@ -67,6 +69,7 @@ func FuzzScan(f *testing.F) {
 	f.Add(fuzzSeed(f, &Snapshot{Genesis: 42}))
 	dup, _, _ := dupSigFile(f)
 	f.Add(dup)
+	f.Add(hostileShardCount(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		isCorrupt := func(what string, err error) bool {
 			if err != nil && !errors.Is(err, ErrCorrupt) {

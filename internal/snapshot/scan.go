@@ -3,9 +3,8 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"jitomev/internal/jito"
@@ -17,10 +16,11 @@ import (
 
 // Streaming scan over a snapshot: the out-of-core read path. The
 // caller sees the prelude (every aggregate stored ahead of the bundle
-// sections) once, then one fold call per shard in file order; shard
-// payloads are decompressed and decoded on a bounded worker pool while
-// frames are read serially, so peak live memory is proportional to
-// workers × shard size and independent of the dataset.
+// sections) once, then one fold call per shard in file order. Frames
+// are read serially; shard payloads are decompressed and decoded on a
+// parallel.Ordered pool, one per section, so peak live memory is
+// proportional to the pool's window × shard size and independent of
+// the dataset.
 
 // Prelude is everything a snapshot stores ahead of the streaming
 // sections — small aggregates a bounded-memory pass can hold whole.
@@ -61,19 +61,25 @@ func (s Section) String() string {
 }
 
 // ScanFold receives every shard of the streaming sections in file order
-// on the calling goroutine. b is nil for a pruned shard (its metadata is
-// still delivered, so folds can count what was skipped) and for every
-// shard when Map is set — mapped then carries Map's result instead.
-// Batches are owned by the fold and dropped by the scanner — holding
-// every batch would defeat the bounded-memory point.
+// on one goroutine — the caller's at Workers 1, otherwise not
+// necessarily the caller's. The prelude and each SectionStart still run
+// before that section's folds and after every fold of the previous
+// section, so state they share with the fold needs no lock. b is nil
+// for a pruned shard (its metadata is still delivered, so folds can
+// count what was skipped) and for every shard when Map is set — mapped
+// then carries Map's result instead. Batches are owned by the fold and
+// dropped by the scanner — holding every batch would defeat the
+// bounded-memory point.
 type ScanFold func(sec Section, m ShardMeta, b *Batch, mapped any) error
 
 // ScanOptions configure a streaming pass. The zero value scans
 // everything on all cores, uninstrumented.
 type ScanOptions struct {
-	// Workers bounds the decompress/decode pool (0 = all cores,
-	// 1 = serial). Frames are always read, pruned and folded serially in
-	// shard order, so results are identical at every worker count.
+	// Workers bounds the decompress/decode pool (0 = all cores). At 1,
+	// everything runs on the calling goroutine. Frames are always read
+	// and pruned on the calling goroutine and folded on one goroutine in
+	// shard order, so results are identical at every worker count. After
+	// the first fold, Map or decode error no further frame is read.
 	Workers int
 
 	// Reg optionally records shard counts, byte totals and scan duration
@@ -91,7 +97,7 @@ type ScanOptions struct {
 	// (detection partials, counts). The batch is released on the worker —
 	// the fold receives b == nil and Map's return value — so per-shard
 	// work heavier than the decode itself scales with the pool instead of
-	// serializing on the fold goroutine. The batch's memory, down to its
+	// serializing on the fold. The batch's memory, down to its
 	// records' TxIDs and its details' TokenDeltas, is reused for later
 	// shards once Map returns: Map must not retain the batch or any slice
 	// reachable from it, and must be safe to call concurrently. Pruned
@@ -104,9 +110,10 @@ type ScanOptions struct {
 	// section (which holds nothing but details).
 	RecordsOnly func(sec Section) bool
 
-	// SectionStart, when non-nil, runs before each streaming section's
-	// shards with the section's totals — the hook full loads use to
-	// preallocate and planners use to size their accounting.
+	// SectionStart, when non-nil, runs on the calling goroutine before
+	// each streaming section's shards are read, with the totals its
+	// header claims — the hook full loads and planners use to size their
+	// accounting. The totals are only a claim until the shards are read.
 	SectionStart func(sec Section, shards, items int) error
 }
 
@@ -226,12 +233,9 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 	return nil
 }
 
-// errScanAborted marks shards skipped because an earlier shard already
-// failed; it never escapes the scanner.
-var errScanAborted = errors.New("snapshot: scan aborted")
-
 // scanShard is one frame's journey through the scan pipeline.
 type scanShard struct {
+	idx    int
 	meta   ShardMeta
 	blob   *[]byte // pooled; returned once inflated
 	batch  *Batch
@@ -240,116 +244,75 @@ type scanShard struct {
 	err    error
 }
 
-// scanSection streams one section: a serial read gate hands frames to
-// the pool in file order (pruned frames are discarded right at the
-// gate), payloads inflate and decode concurrently, and
-// parallel.OrderedStream folds results back in strict shard order — the
-// same primitive the writer uses, giving identical folds at every
-// worker count.
+// scanSection streams one section. Frames are read serially on the
+// calling goroutine, and pruned frames are discarded right there; every
+// other frame is submitted to a pool that inflates, decodes and maps it,
+// and the fold consumes the results in shard order on one goroutine —
+// identical folds at every worker count. The first fold or decode error
+// stops the section: no further frame is read, and frames already
+// submitted are neither inflated nor mapped once the pool sees it.
 func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOptions, m *snapObs, fold ScanFold) error {
-	workers := parallel.Workers(opts.Workers)
 	withDetails := true
 	if opts.RecordsOnly != nil && sec != SectionOrphans {
 		withDetails = !opts.RecordsOnly(sec)
 	}
-
-	// The gate: produce(i) may read its frame only once frames 0..i-1
-	// are off the stream. Its holder is always inside produce (indices
-	// are claimed after the window token), so turns advance and the
-	// window never deadlocks.
 	var (
-		gate     sync.Mutex
-		turn     = sync.NewCond(&gate)
-		nextRead = 0
-		base     = 0
-		readErr  error
-		foldErr  error
+		stopped atomic.Bool
+		foldErr error // written by the fold, read after Close
 	)
-
-	parallel.OrderedStream(workers, shards, func(i int) scanShard {
-		gate.Lock()
-		for nextRead != i {
-			turn.Wait()
-		}
-		var sh scanShard
-		if readErr != nil {
-			sh.err = errScanAborted
-		} else {
-			sh.meta, sh.err = readFrameV3(br, i, total-base)
-			if sh.err == nil {
-				base += sh.meta.Items
-				if opts.Prune != nil && opts.Prune(sec, sh.meta) {
-					sh.pruned = true
-					if _, err := br.Discard(sh.meta.CompLen); err != nil {
-						sh.err = corrupt("shard %d: body truncated in skip: %v", i, err)
-					}
-				} else {
-					blob := getFrameBuf(sh.meta.CompLen)
-					if n, err := io.ReadFull(br, *blob); err != nil {
-						putFrameBuf(blob)
-						sh.err = corrupt("shard %d: body truncated at byte %d of %d: %v",
-							i, n, sh.meta.CompLen, err)
-					} else {
-						sh.blob = blob
-						m.frame(sh.meta.RawLen, sh.meta.CompLen)
-					}
-				}
-			}
-			if sh.err != nil {
-				readErr = sh.err
-			}
-		}
-		nextRead++
-		turn.Broadcast()
-		gate.Unlock()
-
-		if sh.err != nil || sh.pruned {
+	pool := parallel.NewOrdered(opts.Workers, func(sh scanShard) scanShard {
+		if sh.pruned {
 			return sh
 		}
-		// Off the gate: the parallel part. The decoders copy everything
-		// out of the payload, so both frame buffers go back to the pool
-		// as soon as the shard is decoded.
-		raw := getFrameBuf(sh.meta.RawLen)
-		err := decompressShard(*raw, *sh.blob)
-		putFrameBuf(sh.blob)
-		sh.blob = nil
-		if err == nil {
-			a := getArena(sh.meta.RawLen)
-			if sec == SectionOrphans {
-				sh.batch, err = decodeOrphanShard(a, sh.meta.Items, *raw)
-			} else {
-				sh.batch, err = decodeBundleShard(a, sh.meta.Items, *raw, withDetails)
-			}
-			if err != nil {
-				a.recycle(false)
-			}
-		}
-		putFrameBuf(raw)
-		if err != nil {
-			sh.err = corruptShard(i, err)
+		if stopped.Load() {
+			putFrameBuf(sh.blob)
+			sh.blob = nil
 			return sh
 		}
-		if opts.Map != nil {
-			// Map must not retain the batch, so its memory is reused.
-			sh.mapped, sh.err = opts.Map(sec, sh.meta, sh.batch)
-			sh.batch.arena.recycle(false)
-			sh.batch = nil
-		}
+		decodeShard(&sh, sec, withDetails, opts.Map)
 		return sh
 	}, func(sh scanShard) {
 		if foldErr != nil {
 			return
 		}
-		if sh.err != nil {
-			if sh.err != errScanAborted {
-				foldErr = sh.err
-			}
-			return
+		if sh.err == nil {
+			sh.err = fold(sec, sh.meta, sh.batch, sh.mapped)
 		}
-		if err := fold(sec, sh.meta, sh.batch, sh.mapped); err != nil {
-			foldErr = err
+		if sh.err != nil {
+			foldErr = sh.err
+			stopped.Store(true)
 		}
 	})
+
+	base := 0
+	var readErr error
+	for i := 0; i < shards && readErr == nil && !stopped.Load(); i++ {
+		sh := scanShard{idx: i}
+		if sh.meta, readErr = readFrameV3(br, i, total-base); readErr != nil {
+			break
+		}
+		base += sh.meta.Items
+		if opts.Prune != nil && opts.Prune(sec, sh.meta) {
+			sh.pruned = true
+			if _, err := br.Discard(sh.meta.CompLen); err != nil {
+				readErr = corrupt("shard %d: body truncated in skip: %v", i, err)
+			}
+		} else {
+			blob := getFrameBuf(sh.meta.CompLen)
+			if n, err := io.ReadFull(br, *blob); err != nil {
+				putFrameBuf(blob)
+				readErr = corrupt("shard %d: body truncated at byte %d of %d: %v",
+					i, n, sh.meta.CompLen, err)
+			} else {
+				sh.blob = blob
+				m.frame(sh.meta.RawLen, sh.meta.CompLen)
+			}
+		}
+		if readErr == nil {
+			pool.Submit(sh)
+		}
+	}
+	pool.Close()
 
 	if foldErr != nil {
 		return foldErr
@@ -361,6 +324,39 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 		return corrupt("section holds %d items, header declared %d", base, total)
 	}
 	return nil
+}
+
+// decodeShard inflates and decodes one read frame, then runs Map over
+// the batch when set. The decoders copy everything out of the payload,
+// so both frame buffers go back to the pool as soon as the shard is
+// decoded; a mapped batch's memory is reused, since Map must not retain
+// it.
+func decodeShard(sh *scanShard, sec Section, withDetails bool, mapFn func(Section, ShardMeta, *Batch) (any, error)) {
+	raw := getFrameBuf(sh.meta.RawLen)
+	err := decompressShard(*raw, *sh.blob)
+	putFrameBuf(sh.blob)
+	sh.blob = nil
+	if err == nil {
+		a := getArena(sh.meta.RawLen)
+		if sec == SectionOrphans {
+			sh.batch, err = decodeOrphanShard(a, sh.meta.Items, *raw)
+		} else {
+			sh.batch, err = decodeBundleShard(a, sh.meta.Items, *raw, withDetails)
+		}
+		if err != nil {
+			a.recycle(false)
+		}
+	}
+	putFrameBuf(raw)
+	if err != nil {
+		sh.err = corruptShard(sh.idx, err)
+		return
+	}
+	if mapFn != nil {
+		sh.mapped, sh.err = mapFn(sec, sh.meta, sh.batch)
+		sh.batch.arena.recycle(false)
+		sh.batch = nil
+	}
 }
 
 // readFrameV3 reads one extended frame header (the pushdown metadata
@@ -435,15 +431,19 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 // no pruning, reassembling the in-memory Snapshot.
 func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	s := &Snapshot{Details: new(jito.DetailSet)}
+	// A section's records are reserved from its header's claim only once
+	// its first shard has decoded, so a hostile claim alone costs nothing.
+	reserve := 0
+	grow := func(dst, recs []jito.BundleRecord) []jito.BundleRecord {
+		if dst == nil {
+			dst = make([]jito.BundleRecord, 0, max(reserve, len(recs)))
+		}
+		return append(dst, recs...)
+	}
 	opts := ScanOptions{
 		Workers: workers,
-		SectionStart: func(sec Section, _, items int) error {
-			switch {
-			case sec == SectionLen3 && items > 0:
-				s.Len3 = make([]jito.BundleRecord, 0, min(items, maxReserve))
-			case sec == SectionLong && items > 0:
-				s.Long = make([]jito.BundleRecord, 0, min(items, maxReserve))
-			}
+		SectionStart: func(_ Section, _, items int) error {
+			reserve = min(items, maxReserve)
 			return nil
 		},
 	}
@@ -458,9 +458,9 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	}, func(sec Section, _ ShardMeta, b *Batch, _ any) error {
 		switch sec {
 		case SectionLen3:
-			s.Len3 = append(s.Len3, b.Recs...)
+			s.Len3 = grow(s.Len3, b.Recs)
 		case SectionLong:
-			s.Long = append(s.Long, b.Recs...)
+			s.Long = grow(s.Long, b.Recs)
 		}
 		// The set grows chunk by chunk as shards arrive; nothing is sized
 		// from the header's counts.

@@ -53,7 +53,7 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	slices.SortFunc(orphans, func(a, b solana.Signature) int {
 		return bytes.Compare(a[:], b[:])
 	})
-	bw.sectionV3(secOrphans, len(orphans), orphanShardSize, workers, func(lo, hi int) ([]byte, ShardMeta, error) {
+	bw.sectionV3(secOrphans, len(orphans), orphanShardSize, workers, true, func(lo, hi int) ([]byte, ShardMeta, error) {
 		return encodeOrphanShard(orphans[lo:hi], s.Details, clock)
 	})
 
@@ -67,37 +67,37 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	return nil
 }
 
-// shardFrameV3 is one encoded-and-compressed streaming shard with its
-// metadata header.
-type shardFrameV3 struct {
+// shardFrame is one encoded-and-compressed shard ready to be framed
+// into the output stream.
+type shardFrame struct {
 	meta ShardMeta
 	raw  int
 	blob []byte
 	err  error
 }
 
-// sectionV3 emits one streaming section: like section, but every frame
-// is prefixed with its ShardMeta pushdown block.
-func (w *writer) sectionV3(id byte, totalItems, shardSize, workers int, encode func(lo, hi int) ([]byte, ShardMeta, error)) {
+// sectionV3 emits one section: its header, then one frame per
+// fixed-size slice of [0, totalItems) produced by encode(lo, hi).
+// Shards encode and compress on a pool of workers and are written in
+// shard order, so the bytes are the same at every worker count. A
+// streaming section (pushdown) prefixes every frame's lengths with its
+// ShardMeta block.
+func (w *writer) sectionV3(id byte, totalItems, shardSize, workers int, pushdown bool, encode func(lo, hi int) ([]byte, ShardMeta, error)) {
 	if w.err != nil {
 		return
 	}
-	shards := (totalItems + shardSize - 1) / shardSize
 	w.byte1(id)
-	w.uvarint(uint64(shards))
+	w.uvarint(uint64((totalItems + shardSize - 1) / shardSize))
 	w.uvarint(uint64(totalItems))
-	parallel.OrderedStreamObs(w.m.reg, "snapshot_encode", workers, shards, func(i int) shardFrameV3 {
-		lo := i * shardSize
-		hi := lo + shardSize
-		if hi > totalItems {
-			hi = totalItems
-		}
+	p := parallel.NewOrderedObs(w.m.reg, "snapshot_encode", workers, func(lo int) shardFrame {
+		hi := min(lo+shardSize, totalItems)
 		raw, meta, err := encode(lo, hi)
 		if err != nil {
-			return shardFrameV3{err: err}
+			return shardFrame{err: err}
 		}
-		return shardFrameV3{meta: meta, raw: len(raw), blob: compressShard(raw)}
-	}, func(f shardFrameV3) {
+		meta.Items = hi - lo
+		return shardFrame{meta: meta, raw: len(raw), blob: compressShard(raw)}
+	}, func(f shardFrame) {
 		if w.err == nil && f.err != nil {
 			w.err = f.err
 		}
@@ -106,20 +106,26 @@ func (w *writer) sectionV3(id byte, totalItems, shardSize, workers int, encode f
 		}
 		w.m.frame(f.raw, len(f.blob))
 		w.uvarint(uint64(f.meta.Items))
-		w.uvarint(zigzag(int64(f.meta.MinDay)))
-		w.uvarint(zigzag(int64(f.meta.MaxDay)))
-		for _, c := range f.meta.ByLength {
-			w.uvarint(c)
+		if pushdown {
+			w.uvarint(zigzag(int64(f.meta.MinDay)))
+			w.uvarint(zigzag(int64(f.meta.MaxDay)))
+			for _, c := range f.meta.ByLength {
+				w.uvarint(c)
+			}
 		}
 		w.uvarint(uint64(f.raw))
 		w.uvarint(uint64(len(f.blob)))
 		w.bytes(f.blob)
 	})
+	for lo := 0; lo < totalItems; lo += shardSize {
+		p.Submit(lo)
+	}
+	p.Close()
 }
 
 // bundleSection emits one record family as self-contained bundle shards.
 func (w *writer) bundleSection(id byte, recs []jito.BundleRecord, details *jito.DetailSet, clock solana.Clock, workers int) {
-	w.sectionV3(id, len(recs), bundleShardSize, workers, func(lo, hi int) ([]byte, ShardMeta, error) {
+	w.sectionV3(id, len(recs), bundleShardSize, workers, true, func(lo, hi int) ([]byte, ShardMeta, error) {
 		return encodeBundleShard(recs[lo:hi], details, clock)
 	})
 }

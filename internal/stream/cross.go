@@ -27,7 +27,7 @@ import (
 // The cache is hard-bounded: capacity evictions (LRU by front freshness)
 // and window evictions (candidates whose window expired) are both
 // counted, so the byte bound is provable from the counters plus the
-// high-water gauge. All mutation happens on the fold goroutine in
+// high-water gauge. All mutation happens in the engine's ordered fold, in
 // canonical slot/record order, so verdicts and counters are
 // bit-identical at every Workers setting.
 

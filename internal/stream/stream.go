@@ -12,13 +12,15 @@
 //     canonical (Seq, ID) order and handed to the detection pool.
 //     Arrivals behind the watermark are dropped and counted
 //     (stream_events_late_total), never silently absorbed.
-//   - Detection — the pure per-bundle work — runs concurrently on a
-//     bounded pool, one task per sealed slot; the fold goroutine then
-//     replays FoldLen3/FoldLong in seal order, which is slot order. Over
-//     a feed delivered in canonical order (or any scramble the lag
-//     absorbs), the fold sequence is exactly the batch pass's record
-//     index order, so Finish returns Results bit-identical to
-//     report.AnalyzeN at every Workers setting.
+//   - Each sealed slot is one item on a parallel.Ordered pool: detection
+//     — the pure per-bundle work — runs on the pool's workers, and the
+//     fold replays FoldLen3/FoldLong in seal order, which is slot order,
+//     on one goroutine. At Workers 1 both run inline in the Offer,
+//     Advance or Finish call that seals the slot. Over a feed delivered
+//     in canonical order (or any scramble the lag absorbs), the fold
+//     sequence is exactly the batch pass's record index order, so Finish
+//     returns Results bit-identical to report.AnalyzeN at every Workers
+//     setting.
 //   - Collection-level aggregates (per-day counts, tip histograms,
 //     dedup) accumulate from the feed itself, mirroring
 //     collector.Dataset.Ingest; a replay of an already-collected dataset
@@ -53,8 +55,10 @@ import (
 // Config configures an Engine. The zero value is usable: all cores, a
 // 2-slot watermark lag, length-3 detection only, cross-block disabled.
 type Config struct {
-	// Workers bounds the detection pool (0 = all cores, 1 = serial).
-	// Verdicts are bit-identical at every setting.
+	// Workers bounds the detection pool (0 = all cores). At 1,
+	// detection and fold run inline in the Offer, Advance or Finish call
+	// that seals a slot, on the caller's goroutine. Verdicts are
+	// bit-identical at every setting.
 	Workers int
 
 	// LagSlots is the watermark's allowed lateness: slot s seals once an
@@ -121,10 +125,10 @@ var detectLatencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.2, 0.4, 1,
 }
 
-// slotJob is one sealed slot in flight: events in canonical order, the
-// detection partials filled on the pool, and a ready gate the ordered
-// fold waits on. Jobs are pooled — most slots carry a single bundle, and
-// per-slot allocation would dominate the hot path.
+// slotJob is one sealed slot in flight: events in canonical order and
+// the detection partials filled on the pool. Jobs are pooled — most
+// slots carry a single bundle, and per-slot allocation would dominate
+// the hot path.
 type slotJob struct {
 	slot     solana.Slot
 	sealedAt time.Time
@@ -137,12 +141,6 @@ type slotJob struct {
 
 	len3 report.Len3Partial
 	long report.LongPartial
-	// ready gates the fold on the detection pool: Add(1) before the job
-	// is handed to a worker, Done when its partials are filled. A slot
-	// with nothing to detect never Adds — its zero partials fold as exact
-	// no-ops and Wait returns immediately. A WaitGroup instead of a
-	// channel because pooled jobs reuse it allocation-free.
-	ready sync.WaitGroup
 }
 
 var jobPool = sync.Pool{New: func() any { return new(slotJob) }}
@@ -210,17 +208,10 @@ type Engine struct {
 	len3Count  uint64
 	scope      *report.Scope // imported via SetScope; nil = live scope
 
-	// Detection pipeline: sealed jobs flow to the persistent worker pool
-	// through detq (pure detection, any order) and to the single fold
-	// goroutine through jobs (seal order); the fold waits on each job's
-	// ready gate. Persistent workers rather than a goroutine per slot —
-	// spawning and growing a stack per sealed slot dominated the hot
-	// path.
-	detq     chan *slotJob
-	jobs     chan *slotJob
-	foldDone chan struct{}
+	// pool detects sealed slots and folds them in seal order.
+	pool *parallel.Ordered[*slotJob, *slotJob]
 
-	// Fold-goroutine tallies (read after foldDone closes).
+	// Fold tallies (read after Finish).
 	verdicts  uint64
 	disguised uint64
 
@@ -229,7 +220,7 @@ type Engine struct {
 	hIngestSeal, hSealVerdict, hDetect *obs.Histogram
 }
 
-// New builds and starts an engine; its fold goroutine runs until Finish.
+// New builds an engine; any goroutines its pool starts exit in Finish.
 func New(cfg Config) *Engine {
 	if cfg.LagSlots <= 0 {
 		cfg.LagSlots = 2
@@ -247,19 +238,17 @@ func New(cfg Config) *Engine {
 	}
 
 	e := &Engine{
-		cfg:      cfg,
-		reg:      reg,
-		tracer:   reg.TracerAttached(),
-		acc:      report.NewLiveAccumulator(cfg.Detector, cfg.SOLPriceUSD, cfg.Clock),
-		pending:  make(map[solana.Slot]*slotJob),
-		ids:      make(map[jito.BundleID]struct{}),
-		days:     make(map[int]*collector.DayAgg),
-		tips1:    stats.NewTipHistogram(),
-		tips3:    stats.NewTipHistogram(),
-		detq:     make(chan *slotJob, 4*cfg.Workers+16),
-		jobs:     make(chan *slotJob, 4*cfg.Workers+16),
-		foldDone: make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		tracer:  reg.TracerAttached(),
+		acc:     report.NewLiveAccumulator(cfg.Detector, cfg.SOLPriceUSD, cfg.Clock),
+		pending: make(map[solana.Slot]*slotJob),
+		ids:     make(map[jito.BundleID]struct{}),
+		days:    make(map[int]*collector.DayAgg),
+		tips1:   stats.NewTipHistogram(),
+		tips3:   stats.NewTipHistogram(),
 	}
+	e.pool = parallel.NewOrdered(cfg.Workers, e.detect, e.fold)
 
 	reg.Help("stream_events_total", "Bundle events offered to the streaming detector.")
 	reg.Help("stream_events_late_total", "Events dropped for arriving behind the sealed watermark.")
@@ -286,22 +275,18 @@ func New(cfg Config) *Engine {
 	if cfg.Cross.WindowSlots > 0 {
 		e.cross = newCrossTracker(cfg.Cross, reg)
 	}
-
-	for i := 0; i < cfg.Workers; i++ {
-		go e.detectWorker()
-	}
-	go e.foldLoop()
 	return e
 }
 
-// detectWorker runs the pure per-slot detection; results land in the
-// job, the ready gate releases the fold.
-func (e *Engine) detectWorker() {
-	for job := range e.detq {
+// detect runs the pure per-slot detection on the pool; the partials land
+// in the job. A slot with nothing to detect keeps zero partials, which
+// fold as exact no-ops.
+func (e *Engine) detect(job *slotJob) *slotJob {
+	if len(job.recs3) > 0 || len(job.recsL) > 0 {
 		job.len3 = e.acc.DetectLen3(job.recs3, alignedSource(job.dets3))
 		job.long = e.acc.DetectLong(job.recsL, alignedSource(job.detsL))
-		job.ready.Done()
 	}
+	return job
 }
 
 // Obs returns the registry the engine records onto.
@@ -463,10 +448,10 @@ func (e *Engine) sealThrough(w solana.Slot) {
 	e.expireDedup(w)
 }
 
-// seal fixes a slot's canonical order, starts its detection task, and
-// enqueues it for the ordered fold. Caller holds mu; the enqueue may
-// block when the fold lags far behind — that backpressure, not an
-// unbounded queue, bounds the engine's memory.
+// seal fixes a slot's canonical order and submits it to the pool for
+// detection and the ordered fold. Caller holds mu; Submit blocks while
+// the pool's window is full — that backpressure, not an unbounded
+// queue, bounds the engine's memory.
 func (e *Engine) seal(job *slotJob, now time.Time) {
 	job.sealedAt = now
 	evs := job.events
@@ -503,34 +488,28 @@ func (e *Engine) seal(job *slotJob, now time.Time) {
 	e.retired = append(e.retired, ret)
 
 	// A slot with nothing to detect — the common case, most bundles are
-	// single-transaction tips — never reaches the worker pool: its zero
-	// partials fold as exact no-ops, so the fast path is bit-identical.
-	// With no cross stage to feed either, it skips the fold round-trip
-	// entirely and retires here.
-	if len(job.recs3) == 0 && len(job.recsL) == 0 {
-		if e.cross == nil {
-			e.cSealed.Inc()
-			sampled := false
-			for i := range evs {
-				if !evs[i].Arrived.IsZero() {
-					sampled = true
-					e.hDetect.ObserveExemplar(now.Sub(evs[i].Arrived).Seconds(),
-						evs[i].tr.TraceID())
-					evs[i].tr.End()
-				}
+	// single-transaction tips — and no cross stage to feed skips the
+	// pool and retires here: its zero partials would fold as exact
+	// no-ops, so the fast path is bit-identical.
+	if len(job.recs3) == 0 && len(job.recsL) == 0 && e.cross == nil {
+		e.cSealed.Inc()
+		sampled := false
+		for i := range evs {
+			if !evs[i].Arrived.IsZero() {
+				sampled = true
+				e.hDetect.ObserveExemplar(now.Sub(evs[i].Arrived).Seconds(),
+					evs[i].tr.TraceID())
+				evs[i].tr.End()
 			}
-			if sampled {
-				e.hSealVerdict.Observe(0)
-			}
-			job.reset()
-			jobPool.Put(job)
-			return
 		}
-	} else {
-		job.ready.Add(1)
-		e.detq <- job
+		if sampled {
+			e.hSealVerdict.Observe(0)
+		}
+		job.reset()
+		jobPool.Put(job)
+		return
 	}
-	e.jobs <- job
+	e.pool.Submit(job)
 }
 
 // expireDedup forgets bundle ids of slots DedupSlots behind the
@@ -567,49 +546,39 @@ func alignedSource(dets [][]jito.TxDetail) report.DetailSource {
 	}
 }
 
-// foldLoop is the single fold goroutine: it awaits each sealed slot's
-// detection in seal order and replays the order-sensitive folds, so the
-// fold sequence is independent of pool scheduling.
-func (e *Engine) foldLoop() {
-	defer close(e.foldDone)
-	// now is refreshed once per burst: when the queue has more sealed
-	// slots waiting, the jobs in the burst share one timestamp — the
-	// histograms are volatile, and a clock read per slot was measurable.
+// fold replays one sealed slot's order-sensitive folds. The pool calls
+// it in seal order on one goroutine, so the fold sequence is independent
+// of scheduling.
+func (e *Engine) fold(job *slotJob) {
+	e.acc.FoldLen3(job.len3)
+	e.acc.FoldLong(job.long)
+	if e.cross != nil {
+		e.cross.processSlot(job)
+	}
+	e.verdicts += uint64(job.len3.Hits())
+	e.disguised += uint64(job.long.Hits())
+	e.cVerdicts.Add(uint64(job.len3.Hits()))
+	e.cDisguised.Add(uint64(job.long.Hits()))
+	e.cSealed.Inc()
+	// The clock is read only for a slot carrying a latency-sampled event.
 	var now time.Time
-	fresh := false
-	for job := range e.jobs {
-		job.ready.Wait()
-		e.acc.FoldLen3(job.len3)
-		e.acc.FoldLong(job.long)
-		if e.cross != nil {
-			e.cross.processSlot(job)
+	for i := range job.events {
+		ev := &job.events[i]
+		if ev.Arrived.IsZero() {
+			continue
 		}
-		e.verdicts += uint64(job.len3.Hits())
-		e.disguised += uint64(job.long.Hits())
-		e.cVerdicts.Add(uint64(job.len3.Hits()))
-		e.cDisguised.Add(uint64(job.long.Hits()))
-		e.cSealed.Inc()
-		if !fresh {
+		if now.IsZero() {
 			now = time.Now()
 		}
-		fresh = len(e.jobs) > 0
-		sampled := false
-		for i := range job.events {
-			ev := &job.events[i]
-			if ev.Arrived.IsZero() {
-				continue
-			}
-			sampled = true
-			ev.tr.Ctx().RecordSpan("fold", job.sealedAt, now, false)
-			e.hDetect.ObserveExemplar(now.Sub(ev.Arrived).Seconds(), ev.tr.TraceID())
-			ev.tr.End()
-		}
-		if sampled {
-			e.hSealVerdict.Observe(now.Sub(job.sealedAt).Seconds())
-		}
-		job.reset()
-		jobPool.Put(job)
+		ev.tr.Ctx().RecordSpan("fold", job.sealedAt, now, false)
+		e.hDetect.ObserveExemplar(now.Sub(ev.Arrived).Seconds(), ev.tr.TraceID())
+		ev.tr.End()
 	}
+	if !now.IsZero() {
+		e.hSealVerdict.Observe(now.Sub(job.sealedAt).Seconds())
+	}
+	job.reset()
+	jobPool.Put(job)
 }
 
 // Finish seals every pending slot, drains the fold, seeds the scope and
@@ -634,11 +603,9 @@ func (e *Engine) Finish() *report.Results {
 		e.sealedTo, e.hasSealed = e.head, true
 	}
 	e.finished = true
-	close(e.detq)
-	close(e.jobs)
 	e.mu.Unlock()
 
-	<-e.foldDone
+	e.pool.Close()
 	sc := e.liveScope()
 	if e.scope != nil {
 		sc = *e.scope
