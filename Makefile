@@ -51,10 +51,11 @@ chaos:
 # fuzz runs each of the nine native fuzz targets briefly: the
 # fixed-width base58 paths against the generic reference, and the
 # explorer wire codec's decoders against encoding/json (accept/reject,
-# decoded values, fault class; a recent page decoded into a PageBuffer
-# left dirty by another body equal to a fresh decode), and the
-# recent-page handler's limit/before query strings (200 or 400, never a
-# panic; a 200 body is the store's page), and the snapshot reader (Scan
+# decoded values, fault class; a recent page or a detail request
+# decoded into a PageBuffer left dirty by another body equal to a fresh
+# decode), and the recent-page handler's query strings (raw queries and
+# encoded limit/before values: the status and page url.ParseQuery and
+# Get imply, never a panic), and the snapshot reader (Scan
 # with and without Map, and Read: never a panic, only ErrCorrupt, a
 # second scan on recycled decode memory equal to the first, and a loaded
 # detail set equal to the batches' details taken in scan order, the last
@@ -67,7 +68,8 @@ chaos:
 # map).
 # Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
-# cases, a small snapshot with its truncations and a file holding one
+# cases and raw queries with semicolons, repeated keys, empty values and
+# valid and invalid escapes, a small snapshot with its truncations and a file holding one
 # signature twice, the traceparent round-trip cases, the /leasez request
 # bodies of the HTTP tests, and short DetailSet op sequences.
 fuzz:

@@ -6,9 +6,11 @@ package explorer
 // detector (this package is part of the `make verify` race matrix).
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -68,16 +70,23 @@ func TestStoreConcurrentAcceptAndRead(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentClients has pagers and detail clients share the
+// handlers' pools while writes land: every page is served whole, and
+// every detail batch gets exactly its own details back.
 func TestServerConcurrentClients(t *testing.T) {
 	s := NewStore()
+	var ids []solana.Signature
 	for i := 1; i <= 500; i++ {
-		s.Accept(0, fakeAccepted(i, 3))
+		acc := fakeAccepted(i, 3)
+		s.Accept(0, acc)
+		ids = append(ids, acc.Record.TxIDs...)
 	}
 	srv := httptest.NewServer(NewServer(s, 0))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
+	// One slot per request, so no client blocks on a full channel.
+	errs := make(chan error, (8+4)*25)
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
 		go func() {
@@ -94,6 +103,28 @@ func TestServerConcurrentClients(t *testing.T) {
 				resp.Body.Close()
 			}
 		}()
+	}
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				// Batches of different sizes, so pooled storage is
+				// handed between requests that need different amounts.
+				batch := ids[(c*25+i)*10%len(ids):][:1+(c*7+i)%40]
+				resp, err := http.Post(srv.URL+"/api/v1/transactions", "application/json",
+					bytes.NewReader(AppendDetailRequest(nil, DetailRequest{IDs: batch})))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, _, err := ReadDetailResponse(resp.Body)
+				resp.Body.Close()
+				if want := s.TxDetails(batch); err != nil || !reflect.DeepEqual(got.Transactions, want) {
+					errs <- fmt.Errorf("detail batch of %d: %d details, %v", len(batch), len(got.Transactions), err)
+				}
+			}
+		}(c)
 	}
 	// Writes keep landing while the clients read.
 	wg.Add(1)

@@ -60,8 +60,8 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
-// TestRecentHandlerAllocs bounds the recent-page handler: query parsing
-// and the response header, but no page copy and no body buffer once the
+// TestRecentHandlerAllocs bounds the recent-page handler: the response
+// header, but no query map, no page copy and no body buffer once the
 // pools are warm.
 func TestRecentHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -73,19 +73,32 @@ func TestRecentHandlerAllocs(t *testing.T) {
 	}
 	srv := NewServer(s, 0)
 	w := &discardWriter{h: http.Header{}}
-	// Query parsing into url.Values and the Content-Type header account
-	// for these; the page and the body buffer come from pools.
-	for target, bound := range map[string]float64{
-		"/api/v1/bundles/recent?limit=200":            4,
-		"/api/v1/bundles/recent?limit=200&before=500": 5,
+	for _, target := range []string{
+		"/api/v1/bundles/recent?limit=200",
+		"/api/v1/bundles/recent?limit=200&before=500",
 	} {
 		r := httptest.NewRequest(http.MethodGet, target, nil)
-		if n := testing.AllocsPerRun(100, func() { srv.handleRecent(w, r) }); n > bound {
-			t.Errorf("%s: handler allocates %v times, want <= %v", target, n, bound)
+		for _, h := range []struct {
+			name  string
+			serve func()
+			bound float64
+		}{
+			// The Content-Type header value.
+			{"handler", func() { srv.handleRecent(w, r) }, 1},
+			// Plus the status-capturing writer.
+			{"ServeHTTP", func() { srv.ServeHTTP(w, r) }, 2},
+		} {
+			if n := testing.AllocsPerRun(100, h.serve); n > h.bound {
+				t.Errorf("%s %s: allocates %v times, want <= %v", h.name, target, n, h.bound)
+			}
 		}
 	}
 }
 
+// FuzzRecentQuery serves a raw query string followed by encoded limit
+// and before values, and requires exactly what url.ParseQuery and Get
+// make of it: a 400 for a bad limit, a bad cursor or one past the
+// high-water, else a 200 carrying the store's page.
 func FuzzRecentQuery(f *testing.F) {
 	// Seeds from the limit and before tests: valid pages, a caught-up
 	// cursor, cursors at and beyond the high-water, and malformed values.
@@ -94,14 +107,25 @@ func FuzzRecentQuery(f *testing.F) {
 		{"abc", ""}, {"-5", ""}, {"0", ""}, {"5", "-1"}, {"5", "x"}, {"99999999", "0"},
 		{"+3", "0x4"}, {"9223372036854775808", "18446744073709551616"},
 	} {
-		f.Add(q[0], q[1])
+		f.Add(q[0], q[1], "")
+	}
+	// Raw queries: semicolons, repeated keys, empty values, escapes in
+	// keys and values, and invalid escapes.
+	for _, raw := range []string{
+		"limit=3;before=2", "li;mit=2&limit=3", "limit=2&limit=4", "limit=&limit=4",
+		"limit", "=5&limit=2", "&&limit=2&", "limit=%33&before=%34", "limi%74=2&before=4",
+		"limit=+3", "limit=3+", "before=%2B4", "limit=%zz&limit=2", "limit=%&limit=2",
+		"lim%it=1&limit=2", "before=3&before=x", "before=&before=3", "limit=2&limit=x;",
+	} {
+		f.Add("", "", raw)
+		f.Add("4", "5", raw)
 	}
 	s := NewStore()
 	for i := 1; i <= 5; i++ {
 		s.Accept(0, fakeAccepted(i, 1))
 	}
 	srv := NewServer(s, 0)
-	f.Fuzz(func(t *testing.T, limit, before string) {
+	f.Fuzz(func(t *testing.T, limit, before, raw string) {
 		q := url.Values{}
 		if limit != "" {
 			q.Set("limit", limit)
@@ -109,35 +133,40 @@ func FuzzRecentQuery(f *testing.F) {
 		if before != "" {
 			q.Set("before", before)
 		}
-		rec := httptest.NewRecorder()
-		srv.handleRecent(rec, httptest.NewRequest(http.MethodGet, "/api/v1/bundles/recent?"+q.Encode(), nil))
-		switch rec.Code {
-		case http.StatusBadRequest:
-			return
-		case http.StatusOK:
-		default:
-			t.Fatalf("limit=%q before=%q: status %d", limit, before, rec.Code)
+		query := q.Encode()
+		if raw != "" {
+			query = raw + "&" + query
 		}
-		n := 200
-		if limit != "" {
-			var err error
-			if n, err = strconv.Atoi(limit); err != nil || n <= 0 {
-				t.Fatalf("limit=%q served 200", limit)
+		r := httptest.NewRequest(http.MethodGet, "/api/v1/bundles/recent", nil)
+		r.URL.RawQuery = query
+		rec := httptest.NewRecorder()
+		srv.handleRecent(rec, r)
+
+		vals, _ := url.ParseQuery(query)
+		n, err := 200, error(nil)
+		if v := vals.Get("limit"); v != "" {
+			if n, err = strconv.Atoi(v); err == nil && n <= 0 {
+				err = errors.New("bad limit")
 			}
 		}
 		var cursor uint64
-		if before != "" {
-			var err error
-			if cursor, err = strconv.ParseUint(before, 10, 64); err != nil {
-				t.Fatalf("before=%q served 200", before)
+		if v := vals.Get("before"); v != "" && err == nil {
+			cursor, err = strconv.ParseUint(v, 10, 64)
+		}
+		var page []jito.BundleRecord
+		if err == nil {
+			page, err = s.RecentBefore(cursor, n)
+		}
+		switch {
+		case err != nil && rec.Code != http.StatusBadRequest:
+			t.Fatalf("query %q: status %d, want 400 (%v)", query, rec.Code, err)
+		case err != nil:
+		case rec.Code != http.StatusOK:
+			t.Fatalf("query %q: status %d, want 200", query, rec.Code)
+		default:
+			if want := AppendRecent(nil, RecentResponse{Bundles: page}); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("query %q: body %q, want %q", query, rec.Body.Bytes(), want)
 			}
-		}
-		page, err := s.RecentBefore(cursor, n)
-		if err != nil {
-			t.Fatalf("limit=%q before=%q served 200, store says %v", limit, before, err)
-		}
-		if want := AppendRecent(nil, RecentResponse{Bundles: page}); !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("limit=%q before=%q: body %q, want %q", limit, before, rec.Body.Bytes(), want)
 		}
 	})
 }

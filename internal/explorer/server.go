@@ -3,7 +3,9 @@ package explorer
 import (
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -248,9 +250,8 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	q := r.URL.Query()
 	limit := 200 // the endpoint's original default, pre-widening
-	if v := q.Get("limit"); v != "" {
+	if v := queryGet(r.URL.RawQuery, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			http.Error(w, "bad limit", http.StatusBadRequest)
@@ -259,7 +260,7 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	var before uint64
-	if v := q.Get("before"); v != "" {
+	if v := queryGet(r.URL.RawQuery, "before"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			http.Error(w, "bad before cursor", http.StatusBadRequest)
@@ -278,6 +279,28 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		writeWire(w, RecentResponse{Bundles: page}, AppendRecent)
 	}
 	putPage(pp, page)
+}
+
+// queryGet is url.ParseQuery(raw).Get(key) without building the
+// url.Values map: pairs split on '&', a pair holding ';' or an invalid
+// escape is skipped, and the first value wins even when it is empty.
+// Only a pair that needs unescaping allocates.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // maxPooledPage caps the page slices kept for reuse, in records: a
@@ -300,12 +323,24 @@ func putPage(pp *[]jito.BundleRecord, page []jito.BundleRecord) {
 	pagePool.Put(pp)
 }
 
+// maxDetailBody caps a detail request body. MaxDetailBatch canonical
+// ids need at most 10,000 × 91 bytes (a quoted 88-character signature
+// and its comma) plus the 11-byte frame, about 910 KB; a longer body is
+// refused unread.
+const maxDetailBody = 1 << 20
+
 func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	req, _, err := ReadDetailRequest(http.MaxBytesReader(w, r.Body, 32<<20))
+	if r.ContentLength > maxDetailBody {
+		http.Error(w, "bad request body", http.StatusBadRequest)
+		return
+	}
+	pb := idPool.Get().(*PageBuffer)
+	defer putIDs(pb)
+	req, _, err := pb.readIDs(http.MaxBytesReader(w, r.Body, maxDetailBody))
 	if err != nil {
 		http.Error(w, "bad request body", http.StatusBadRequest)
 		return
@@ -314,5 +349,37 @@ func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "too many ids", http.StatusBadRequest)
 		return
 	}
-	writeWire(w, DetailResponse{Transactions: s.store.TxDetails(req.IDs)}, AppendDetailResponse)
+	dp := detailPool.Get().(*[]jito.TxDetail)
+	details := s.store.AppendTxDetails((*dp)[:0], req.IDs)
+	writeWire(w, DetailResponse{Transactions: details}, AppendDetailResponse)
+	putDetails(dp, details)
+}
+
+// idPool holds the buffers handleTransactions decodes request ids into.
+var idPool = sync.Pool{New: func() any { return new(PageBuffer) }}
+
+// putIDs returns pb to the pool unless its arena outgrew one
+// MaxDetailBatch batch.
+func putIDs(pb *PageBuffer) {
+	if _, sigs := pb.Retained(); sigs > MaxDetailBatch {
+		return
+	}
+	idPool.Put(pb)
+}
+
+// detailPool holds the slices handleTransactions gathers responses
+// into. They start empty but non-nil, so a batch that finds nothing
+// still encodes as [] and not null.
+var detailPool = sync.Pool{New: func() any { return &[]jito.TxDetail{} }}
+
+// putDetails returns details' storage to the pool unless it outgrew one
+// MaxDetailBatch batch, first dropping its references into the store's
+// token deltas.
+func putDetails(dp *[]jito.TxDetail, details []jito.TxDetail) {
+	if cap(details) > MaxDetailBatch {
+		return
+	}
+	clear(details)
+	*dp = details[:0]
+	detailPool.Put(dp)
 }

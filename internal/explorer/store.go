@@ -174,18 +174,29 @@ func (s *Store) AppendPage(dst []jito.BundleRecord, beforeSeq uint64, limit int)
 // TxDetails returns details for the requested transaction ids. Unknown ids
 // are simply absent from the response, like a real bulk endpoint.
 func (s *Store) TxDetails(ids []solana.Signature) []jito.TxDetail {
+	return s.AppendTxDetails([]jito.TxDetail{}, ids)
+}
+
+// AppendTxDetails appends the details TxDetails(ids) returns to dst,
+// growing it at most once, to room for every requested id. Ids past
+// MaxDetailBatch are ignored.
+func (s *Store) AppendTxDetails(dst []jito.TxDetail, ids []solana.Signature) []jito.TxDetail {
 	if len(ids) > MaxDetailBatch {
 		ids = ids[:MaxDetailBatch]
 	}
+	if cap(dst)-len(dst) < len(ids) {
+		// An exact capacity, not append's rounded-up growth, so a full
+		// MaxDetailBatch response still fits the handler's pool bound.
+		dst = append(make([]jito.TxDetail, 0, len(dst)+len(ids)), dst...)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]jito.TxDetail, 0, len(ids))
 	for _, id := range ids {
 		if d, ok := s.details.Get(id); ok {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	return out
+	return dst
 }
 
 // All returns a snapshot copy of every record, oldest first. Test and

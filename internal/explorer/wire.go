@@ -14,7 +14,11 @@ package explorer
 //     error, if any). Accept/reject, leniency and the error itself are
 //     therefore encoding/json's on every input.
 //   - PageBuffer.Read is ReadRecent decoding into storage it reuses: one
-//     record slice and one flat signature arena per buffer.
+//     record slice and one flat signature arena per buffer. The server
+//     decodes detail requests into a pooled PageBuffer's arena the same
+//     way.
+//   - A body cut off at an http.MaxBytesReader cap is refused with the
+//     cap's error, not decoded as a prefix.
 //
 // Body bytes live in pooled scratch buffers; a buffer that grew past
 // maxPooledScratch is dropped rather than pooled, so one huge page
@@ -25,6 +29,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -241,7 +246,11 @@ func readWire[T any](r io.Reader, parse func([]byte) (T, bool)) (T, int, error) 
 		v, ok = parse(body)
 	}
 	var err error
-	if !ok {
+	switch {
+	case ok:
+	case rerr != nil && tooLarge(rerr):
+		err = rerr
+	default:
 		v, err = decodeJSON[T](body, rerr)
 	}
 	n := len(body)
@@ -276,6 +285,12 @@ func readAll(dst []byte, r io.Reader) ([]byte, error) {
 			return dst, err
 		}
 	}
+}
+
+// tooLarge reports whether err is an http.MaxBytesReader's cap.
+func tooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
 }
 
 // errReader replays a read error after the bytes that preceded it.
@@ -347,14 +362,32 @@ func (pb *PageBuffer) keep(recs []jito.BundleRecord, sigs []solana.Signature) {
 	pb.recs, pb.sigs = recs[:0], sigs[:0]
 }
 
-func parseDetailRequest(b []byte) (v DetailRequest, ok bool) {
+// readIDs decodes r's body exactly as ReadDetailRequest does, into pb's
+// signature arena: the ids are valid until the next read on pb.
+func (pb *PageBuffer) readIDs(r io.Reader) (DetailRequest, int, error) {
+	return readWire(r, pb.parseIDs)
+}
+
+// parseDetailRequest parses a canonical detail request into fresh
+// storage.
+func parseDetailRequest(b []byte) (DetailRequest, bool) {
+	var pb PageBuffer
+	return pb.parseIDs(b)
+}
+
+// parseIDs is the canonical detail-request parser. Every quote pair but
+// the key's is a signature's, so the arena is sized once, from the body.
+func (pb *PageBuffer) parseIDs(b []byte) (v DetailRequest, ok bool) {
 	p := parser{b: b, ok: true}
-	// Every quote pair but the key's is a signature's.
 	n := min(max(bytes.Count(b, []byte{'"'})/2-1, 0), len(b)/minSigLen)
-	p.arena = make([]solana.Signature, 0, n)
+	p.arena = pb.sigs[:0]
+	if cap(p.arena) < n {
+		p.arena = make([]solana.Signature, 0, n)
+	}
 	p.lit(`{"ids":`)
 	v.IDs = p.sigs()
 	p.lit("}")
+	pb.keep(pb.recs, p.arena)
 	return v, p.ok
 }
 

@@ -387,24 +387,24 @@ func FuzzDecodeRecent(f *testing.F) {
 		checkDecode(t, body, ReadRecent)
 		for _, d := range dirty {
 			if !bytes.Equal(d, body) {
-				checkReuse(t, d, body)
+				checkReuse(t, d, body, (*PageBuffer).Read, ReadRecent)
 			}
 		}
 	})
 }
 
-// checkReuse decodes body into a PageBuffer left dirty by decoding
-// dirty, and requires exactly what a fresh ReadRecent returns: the same
-// value (nil and empty TxIDs told apart), byte count, error and fault
-// class.
-func checkReuse(t *testing.T, dirty, body []byte) {
+// checkReuse decodes body through reuse into a PageBuffer left dirty by
+// decoding dirty, and requires exactly what fresh returns: the same
+// value (nil and empty signature slices told apart), byte count, error
+// and fault class.
+func checkReuse[T any](t *testing.T, dirty, body []byte, reuse func(*PageBuffer, io.Reader) (T, int, error), fresh func(io.Reader) (T, int, error)) {
 	t.Helper()
 	var pb PageBuffer
-	if _, _, err := pb.Read(bytes.NewReader(dirty)); err != nil {
+	if _, _, err := reuse(&pb, bytes.NewReader(dirty)); err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := pb.Read(bytes.NewReader(body))
-	want, wn, werr := ReadRecent(bytes.NewReader(body))
+	got, n, err := reuse(&pb, bytes.NewReader(body))
+	want, wn, werr := fresh(bytes.NewReader(body))
 	if n != wn || fmt.Sprint(err) != fmt.Sprint(werr) {
 		t.Fatalf("reused buffer read (%d, %v), fresh (%d, %v) on %q", n, err, wn, werr, body)
 	}
@@ -449,7 +449,17 @@ func FuzzDecodeDetailRequest(f *testing.F) {
 		bodies = append(bodies, AppendDetailRequest(nil, v))
 	}
 	wireCorpus(f, bodies)
-	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body, ReadDetailRequest) })
+	// The server decodes ids into pooled storage: two different bodies
+	// leave it dirty before each input, the 64-id batch and one id.
+	dirty := [][]byte{bodies[len(bodies)-1], bodies[2]}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body, ReadDetailRequest)
+		for _, d := range dirty {
+			if !bytes.Equal(d, body) {
+				checkReuse(t, d, body, (*PageBuffer).readIDs, ReadDetailRequest)
+			}
+		}
+	})
 }
 
 func FuzzDecodeDetailResponse(f *testing.F) {

@@ -55,6 +55,7 @@ type BlockEngine struct {
 
 type pendingBundle struct {
 	bundle    *Bundle
+	tip       solana.Lamports // bundle.Tip(), walked once at Submit
 	submitted solana.Slot
 }
 
@@ -71,7 +72,7 @@ func (e *BlockEngine) Submit(b *Bundle) error {
 		e.Stats.RejectedInvalid++
 		return err
 	}
-	e.pending = append(e.pending, pendingBundle{bundle: b, submitted: e.bank.Slot()})
+	e.pending = append(e.pending, pendingBundle{bundle: b, tip: b.Tip(), submitted: e.bank.Slot()})
 	return nil
 }
 
@@ -115,7 +116,7 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 	e.bank.SetSlot(slot)
 
 	slices.SortStableFunc(e.pending, func(a, b pendingBundle) int {
-		return cmp.Compare(b.bundle.Tip(), a.bundle.Tip())
+		return cmp.Compare(b.tip, a.tip)
 	})
 	batch := e.pending
 	if e.MaxBundlesPerSlot > 0 && len(batch) > e.MaxBundlesPerSlot {
@@ -141,7 +142,7 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 			Slot:     slot,
 			UnixMs:   e.clock.TimeOf(slot).UnixMilli(),
 			TxIDs:    b.TxIDs(),
-			TipLamps: uint64(b.Tip()),
+			TipLamps: uint64(pb.tip),
 		}
 		details := make([]TxDetail, len(results))
 		for i, r := range results {
@@ -155,7 +156,7 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 
 		e.Stats.AcceptedCount++
 		e.Stats.ByLength[b.Len()]++
-		e.Stats.TipsPaid += b.Tip()
+		e.Stats.TipsPaid += pb.tip
 		e.Stats.TxsLanded += uint64(len(b.Txs))
 	}
 	return accepted

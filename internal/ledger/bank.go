@@ -14,6 +14,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"jitomev/internal/amm"
@@ -135,6 +136,19 @@ func (b *Bank) CreditLamports(acct solana.Pubkey, amt solana.Lamports) {
 func (b *Bank) MintTo(owner, mint solana.Pubkey, amount uint64) {
 	k := TokenKey{Owner: owner, Mint: mint}
 	b.setToken(k, b.tokens[k]+amount)
+}
+
+// Reserve makes room for accounts more lamport balances and
+// tokenAccounts more token balances, so funding a known population
+// sizes each map once instead of growing it entry by entry. Existing
+// balances are kept.
+func (b *Bank) Reserve(accounts, tokenAccounts int) {
+	lamports := make(map[solana.Pubkey]solana.Lamports, len(b.lamports)+accounts)
+	maps.Copy(lamports, b.lamports)
+	b.lamports = lamports
+	tokens := make(map[TokenKey]uint64, len(b.tokens)+tokenAccounts)
+	maps.Copy(tokens, b.tokens)
+	b.tokens = tokens
 }
 
 // AddPool registers an AMM pool. The bank owns the pool from here on.

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"jitomev/internal/amm"
@@ -459,5 +460,37 @@ func BenchmarkExecuteSandwichBundle(b *testing.B) {
 		if _, err := f.bank.ExecuteBundle([]*solana.Transaction{front, victim, back}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReserveSizesFunding: balances already held survive Reserve, and
+// funding the reserved population then inserts without growing either
+// map.
+func TestReserveSizesFunding(t *testing.T) {
+	f := newFixture(t)
+	const accounts, mints = 200, 4
+	owners := make([]solana.Pubkey, accounts)
+	for i := range owners {
+		owners[i][0], owners[i][1] = byte(i), byte(i>>8)
+		owners[i][31] = 0xaa
+	}
+	f.bank.Reserve(accounts, accounts*mints)
+	if got := f.bank.Lamports(f.alice.Pubkey()); got != 10*solana.LamportsPerSOL {
+		t.Fatalf("alice holds %d lamports after Reserve", got)
+	}
+	if got := f.bank.TokenBalance(f.bob.Pubkey(), f.meme.Address); got != 50_000_000_000 {
+		t.Fatalf("bob holds %d MEME after Reserve", got)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, o := range owners {
+		f.bank.CreditLamports(o, 1)
+		for m := 0; m < mints; m++ {
+			f.bank.MintTo(o, solana.Pubkey{byte(m), 0xbb}, 1)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("funding %d reserved accounts allocated %d times", accounts, n)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestObservePollAllocatesNothing pins the per-poll feed off the heap:
-// once the day's window exists, a paired poll (which refreshes the
-// estimated-missed gauge) allocates nothing, broken pair or not.
+// once the day's window exists, a paired poll allocates nothing, broken
+// pair (which refreshes the estimated-missed gauge) or not.
 func TestObservePollAllocatesNothing(t *testing.T) {
 	s := New(Config{}, obs.NewRegistry())
 	s.ObservePoll(0, 50, 40, 10, false, false)
@@ -46,5 +46,31 @@ func TestMissedGaugeMatchesSummary(t *testing.T) {
 	}
 	if s.LedgerSummary().EstimatedMissed == 0 {
 		t.Fatal("the sequence never left an estimated miss standing")
+	}
+}
+
+// TestMissedGaugeFollowsPageLimit: the estimate scales with the page
+// size, so a poll at a new size refreshes the gauge even when it forms
+// no pair, and an overlapping pair at the same size leaves it alone.
+func TestMissedGaugeFollowsPageLimit(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{}, reg)
+	for i, step := range []struct {
+		pageLimit       int
+		paired, overlap bool
+		want            uint64
+	}{
+		{50, false, false, 0},
+		{50, true, false, 50},
+		{100, false, false, 100},
+		{100, true, true, 100},
+		{20, true, true, 20},
+		{20, true, false, 40},
+	} {
+		s.ObservePoll(0, step.pageLimit, 10, 0, step.paired, step.overlap)
+		sum := s.LedgerSummary().EstimatedMissed
+		if got := reg.Value("quality_estimated_missed_bundles"); sum != step.want || uint64(got) != sum {
+			t.Fatalf("step %d: gauge %v, summary %d, want %d", i, got, sum, step.want)
+		}
 	}
 }

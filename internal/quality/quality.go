@@ -264,6 +264,8 @@ func (s *Sentinel) Config() Config {
 // ObservePoll records one successful recent-bundles poll: the day the
 // page landed in, the page size polled with, the page yield, and — when
 // the poll formed a successive pair — whether the pages overlapped.
+// The estimated-missed gauge moves only with a gap or a new page size,
+// so only those refresh it.
 func (s *Sentinel) ObservePoll(day, pageLimit, newBundles, dups int, paired, overlap bool) {
 	if s == nil {
 		return
@@ -271,6 +273,7 @@ func (s *Sentinel) ObservePoll(day, pageLimit, newBundles, dups int, paired, ove
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastDay = day
+	missedMoved := pageLimit != s.led.pageLimit
 	s.led.pageLimit = pageLimit
 	w := s.led.window(day)
 	w.PollsOK++
@@ -286,9 +289,12 @@ func (s *Sentinel) ObservePoll(day, pageLimit, newBundles, dups int, paired, ove
 		} else {
 			w.Gaps++
 			s.gapCounter.Inc()
+			missedMoved = true
 		}
 		s.overlapEWMA.Observe(x)
 		s.overlapCUS.Observe(x)
+	}
+	if missedMoved {
 		s.publishMissedLocked()
 	}
 }

@@ -97,7 +97,10 @@ func newUniverse(p Params, rng *rand.Rand) *universe {
 
 	// Trader population. Balances are pre-funded generously: the study
 	// measures flow through Jito, not wealth, and users' external funding
-	// is out of scope.
+	// is out of scope. fund gives traders and bots SOL and every
+	// memecoin.
+	funded := p.NumTraders + p.NumBots
+	u.bank.Reserve(funded, funded*(1+p.NumMemecoins))
 	for i := 0; i < p.NumTraders; i++ {
 		kp := solana.NewKeypairFromSeed(fmt.Sprintf("trader/%d/%d", p.Seed, i))
 		u.traders = append(u.traders, kp)
