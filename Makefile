@@ -45,7 +45,7 @@ race:
 # determinism, 10%-fault integrity), then a seeded end-to-end soak of
 # the full pipeline under a 10% fault rate.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending' . ./internal/faults ./internal/collector
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
 
 # fuzz runs each of the nine native fuzz targets briefly: the

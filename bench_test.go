@@ -231,7 +231,7 @@ func benchStudyRun(b *testing.B, pipelined bool) {
 	for i := 0; i < b.N; i++ {
 		st := workload.New(workload.Params{Seed: int64(i + 1), Days: 3, Scale: 20_000})
 		store := explorer.NewStore()
-		coll := collector.New(collector.Config{}, st.P.Clock(), collector.Direct{Store: store})
+		coll := collector.New(collector.Config{}, st.P.Clock(), &collector.Direct{Store: store})
 		sink := &collector.PollingSink{Store: store, Collector: coll, InOutage: st.P.InOutage}
 		if pipelined {
 			st.RunPipelined(sink, 0)
@@ -255,7 +255,7 @@ func BenchmarkOverlapValidation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := collector.New(collector.Config{PageLimit: 50},
-			st.P.Clock(), collector.Direct{Store: store})
+			st.P.Clock(), &collector.Direct{Store: store})
 		// Poll repeatedly like the live sink would; the store is static,
 		// so after the first poll all pages overlap fully.
 		for p := 0; p < 20; p++ {

@@ -397,7 +397,11 @@ var ErrDetailShortfall = errors.New("collector: detail shortfall")
 // so the pending queue survives Save/Load checkpoints for free: a resumed
 // collection re-derives exactly the shortfall it left off with.
 func (c *Collector) pendingDetailIDs() []solana.Signature {
-	var pending []solana.Signature
+	n := c.PendingDetails()
+	if n == 0 {
+		return nil
+	}
+	pending := make([]solana.Signature, 0, n)
 	c.eachPending(func(id solana.Signature) { pending = append(pending, id) })
 	return pending
 }

@@ -100,7 +100,7 @@ func TestDatasetIngestDuplicates(t *testing.T) {
 
 func TestPollOverlapAndDedup(t *testing.T) {
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 10}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 10}, testClock, &Direct{Store: store})
 
 	// First burst of 6 bundles, then poll.
 	for i := 1; i <= 6; i++ {
@@ -129,7 +129,7 @@ func TestPollOverlapAndDedup(t *testing.T) {
 
 func TestPollDetectsMissedSpike(t *testing.T) {
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 5}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 5}, testClock, &Direct{Store: store})
 
 	for i := 1; i <= 5; i++ {
 		store.Accept(0, fakeAccepted(i, 1, solana.Slot(i), 1_000))
@@ -152,7 +152,7 @@ func TestPollDetectsMissedSpike(t *testing.T) {
 
 func TestResetOverlapChain(t *testing.T) {
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 5}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 5}, testClock, &Direct{Store: store})
 	store.Accept(0, fakeAccepted(1, 1, 1, 1_000))
 	c.Poll()
 	c.ResetOverlapChain()
@@ -165,7 +165,7 @@ func TestResetOverlapChain(t *testing.T) {
 
 func TestFetchDetails(t *testing.T) {
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 100, DetailBatch: 2}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 100, DetailBatch: 2}, testClock, &Direct{Store: store})
 
 	for i := 1; i <= 3; i++ {
 		store.Accept(0, fakeAccepted(i, 3, solana.Slot(i), 1_000))
@@ -277,7 +277,7 @@ func TestEquivalenceHTTPvsDirect(t *testing.T) {
 	run := func(useHTTP bool) *Dataset {
 		st := workload.New(workload.Params{Seed: 4, Days: 2, Scale: 20_000, Outages: []workload.DayRange{}})
 		store := explorer.NewStore()
-		var tr Transport = Direct{Store: store}
+		var tr Transport = &Direct{Store: store}
 		var srv *httptest.Server
 		if useHTTP {
 			srv = httptest.NewServer(explorer.NewServer(store, 0))
@@ -309,7 +309,7 @@ func TestPollingSinkOutageSkipsPolls(t *testing.T) {
 	st := workload.New(workload.Params{Seed: 5, Days: 2, Scale: 20_000,
 		Outages: []workload.DayRange{{From: 1, To: 1}}})
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 50}, st.P.Clock(), Direct{Store: store})
+	c := New(Config{PageLimit: 50}, st.P.Clock(), &Direct{Store: store})
 	sink := &PollingSink{Store: store, Collector: c, InOutage: st.P.InOutage}
 	st.Run(sink)
 
@@ -334,7 +334,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestPollingSinkCadence(t *testing.T) {
 	// One poll per PollEverySlots of chain time, driven by bundle slots.
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 100, PollEverySlots: 300}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 100, PollEverySlots: 300}, testClock, &Direct{Store: store})
 	sink := &PollingSink{Store: store, Collector: c}
 
 	// 10 bundles per 300-slot window across 10 windows.

@@ -100,7 +100,7 @@ func TestHTTPDropsOversizedPageBuffers(t *testing.T) {
 		if err != nil || len(page) != want {
 			t.Fatalf("call %d: %d records, %v; want %d", call, len(page), err, want)
 		}
-		if recs, sigs := tr.recentPage.Retained(); recs > explorer.MaxPageLimit ||
+		if recs, sigs := tr.recentSlot.page.Retained(); recs > explorer.MaxPageLimit ||
 			sigs > explorer.MaxPageLimit*jito.MaxBundleTxs {
 			t.Fatalf("call %d: transport keeps %d records, %d signatures", call, recs, sigs)
 		}

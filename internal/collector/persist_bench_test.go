@@ -25,7 +25,7 @@ func benchDataset(b *testing.B) *Dataset {
 	persistBenchOnce.Do(func() {
 		st := workload.New(workload.Params{Seed: 1, Days: 20, Scale: 10_000})
 		store := explorer.NewStore()
-		c := New(Config{PageLimit: 500}, st.P.Clock(), Direct{Store: store})
+		c := New(Config{PageLimit: 500}, st.P.Clock(), &Direct{Store: store})
 		sink := &PollingSink{Store: store, Collector: c}
 		st.Run(sink)
 		if _, err := c.FetchDetails(); err != nil {

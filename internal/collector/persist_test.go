@@ -25,7 +25,7 @@ func collectedDataset(t *testing.T) *Collector {
 	st := workload.New(workload.Params{Seed: 6, Days: 3, Scale: 20_000,
 		Outages: []workload.DayRange{}})
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 50}, st.P.Clock(), Direct{Store: store})
+	c := New(Config{PageLimit: 50}, st.P.Clock(), &Direct{Store: store})
 	sink := &PollingSink{Store: store, Collector: c}
 	st.Run(sink)
 	if _, err := c.FetchDetails(); err != nil {
@@ -265,7 +265,7 @@ func TestBackfillRecoversSpike(t *testing.T) {
 	run := func(backfillPages int) *Collector {
 		store := explorer.NewStore()
 		c := New(Config{PageLimit: 5, BackfillPages: backfillPages},
-			testClock, Direct{Store: store})
+			testClock, &Direct{Store: store})
 		for i := 1; i <= 5; i++ {
 			store.Accept(0, fakeAccepted(i, 1, solana.Slot(i), 1_000))
 		}
@@ -302,7 +302,7 @@ func TestBackfillRecoversSpike(t *testing.T) {
 
 func TestBackfillBudgetBounded(t *testing.T) {
 	store := explorer.NewStore()
-	c := New(Config{PageLimit: 5, BackfillPages: 2}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 5, BackfillPages: 2}, testClock, &Direct{Store: store})
 	for i := 1; i <= 5; i++ {
 		store.Accept(0, fakeAccepted(i, 1, solana.Slot(i), 1_000))
 	}

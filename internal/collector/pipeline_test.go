@@ -15,7 +15,7 @@ func runStudy(tb testing.TB, pipelined bool) (*Dataset, *Collector) {
 	tb.Helper()
 	st := workload.New(workload.Params{Seed: 3, Days: 3, Scale: 50_000})
 	store := explorer.NewStore()
-	coll := New(Config{}, st.P.Clock(), Direct{Store: store})
+	coll := New(Config{}, st.P.Clock(), &Direct{Store: store})
 	sink := &PollingSink{Store: store, Collector: coll, InOutage: st.P.InOutage}
 	if pipelined {
 		st.RunPipelined(sink, 64) // small buffer: force backpressure

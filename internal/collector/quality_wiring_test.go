@@ -17,7 +17,7 @@ import (
 
 // stormTransport fails RecentBundles on a fixed schedule.
 type stormTransport struct {
-	Direct
+	*Direct
 	calls int
 	fail  func(call int) bool
 }
@@ -32,7 +32,7 @@ func (s *stormTransport) RecentBundles(limit int) ([]jito.BundleRecord, error) {
 
 func TestOverlapGaugeFreshUnderFaultStorm(t *testing.T) {
 	store := seededStore(10, 1)
-	tr := &stormTransport{Direct: Direct{Store: store}, fail: func(call int) bool { return call%2 == 0 }}
+	tr := &stormTransport{Direct: &Direct{Store: store}, fail: func(call int) bool { return call%2 == 0 }}
 	reg := obs.NewRegistry()
 	c := NewObs(Config{PageLimit: 5}, testClock, tr, reg)
 	q := quality.New(quality.Config{}, reg)
@@ -80,7 +80,7 @@ func TestOverlapGaugeFreshUnderFaultStorm(t *testing.T) {
 func TestBackfillFeedsLedger(t *testing.T) {
 	store := seededStore(5, 1)
 	reg := obs.NewRegistry()
-	c := NewObs(Config{PageLimit: 5, BackfillPages: 10}, testClock, Direct{Store: store}, reg)
+	c := NewObs(Config{PageLimit: 5, BackfillPages: 10}, testClock, &Direct{Store: store}, reg)
 	q := quality.New(quality.Config{}, reg)
 	c.AttachQuality(q)
 
@@ -116,7 +116,7 @@ func TestBackfillFeedsLedger(t *testing.T) {
 func TestBackfillErrorFeedsLedgerAndGauge(t *testing.T) {
 	store := seededStore(5, 1)
 	reg := obs.NewRegistry()
-	c := NewObs(Config{PageLimit: 5, BackfillPages: 3}, testClock, failingBefore{Direct{Store: store}}, reg)
+	c := NewObs(Config{PageLimit: 5, BackfillPages: 3}, testClock, failingBefore{&Direct{Store: store}}, reg)
 	q := quality.New(quality.Config{}, reg)
 	c.AttachQuality(q)
 
@@ -147,7 +147,7 @@ func TestBackfillErrorFeedsLedgerAndGauge(t *testing.T) {
 func TestDetailFeed(t *testing.T) {
 	store := seededStore(4, 3)
 	reg := obs.NewRegistry()
-	c := NewObs(Config{PageLimit: 100, DetailBatch: 6}, testClock, Direct{Store: store}, reg)
+	c := NewObs(Config{PageLimit: 100, DetailBatch: 6}, testClock, &Direct{Store: store}, reg)
 	q := quality.New(quality.Config{}, reg)
 	c.AttachQuality(q)
 	if err := c.Poll(); err != nil {

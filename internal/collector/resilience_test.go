@@ -276,7 +276,7 @@ func TestCircuitBreaker(t *testing.T) {
 
 // flakyDetails fails TxDetails while broken, then heals.
 type flakyDetails struct {
-	Direct
+	*Direct
 	broken    func(ids []solana.Signature) bool
 	detCalls  int
 	pageCalls int
@@ -294,7 +294,7 @@ func TestFetchDetailsDegradesPerBatch(t *testing.T) {
 	store := seededStore(6, 3) // 6 length-3 bundles → 18 ids
 	var poison solana.Signature
 	poison[0], poison[1], poison[2], poison[3] = 2, 0, 0, 0 // an id of bundle 2
-	tr := &flakyDetails{Direct: Direct{Store: store}}
+	tr := &flakyDetails{Direct: &Direct{Store: store}}
 	tr.broken = func(ids []solana.Signature) bool {
 		for _, id := range ids {
 			if id == poison {
@@ -345,7 +345,7 @@ func TestFetchDetailsDegradesPerBatch(t *testing.T) {
 // the retained records in place; it builds no id list.
 func TestPendingDetailsCountsWithoutAllocating(t *testing.T) {
 	store := seededStore(6, 3)
-	tr := &flakyDetails{Direct: Direct{Store: store}}
+	tr := &flakyDetails{Direct: &Direct{Store: store}}
 	tr.broken = func(ids []solana.Signature) bool { return ids[0][0] == 2 }
 	c := New(Config{PageLimit: 100, DetailBatch: 3, DetailRetries: -1}, testClock, tr)
 	c.Poll()
@@ -363,7 +363,7 @@ func TestPendingDetailsCountsWithoutAllocating(t *testing.T) {
 // repeatingDetails answers every detail batch with an extra, altered
 // copy of the first detail it ever served.
 type repeatingDetails struct {
-	Direct
+	*Direct
 	first *jito.TxDetail
 }
 
@@ -385,7 +385,7 @@ func (r *repeatingDetails) TxDetails(ids []solana.Signature) ([]jito.TxDetail, e
 // signature already held leaves the held detail untouched — stream
 // detection may be reading it through a view.
 func TestFetchDetailsNeverRewritesHeldDetails(t *testing.T) {
-	tr := &repeatingDetails{Direct: Direct{Store: seededStore(4, 3)}}
+	tr := &repeatingDetails{Direct: &Direct{Store: seededStore(4, 3)}}
 	c := New(Config{PageLimit: 100, DetailBatch: 3}, testClock, tr)
 	c.Poll()
 	if _, err := c.FetchDetails(); err != nil {
@@ -405,7 +405,7 @@ func TestFetchDetailsNeverRewritesHeldDetails(t *testing.T) {
 // load, and a later FetchDetails completes it.
 func TestPendingDetailsResumeAcrossCheckpoint(t *testing.T) {
 	store := seededStore(4, 3)
-	tr := &flakyDetails{Direct: Direct{Store: store}}
+	tr := &flakyDetails{Direct: &Direct{Store: store}}
 	tr.broken = func([]solana.Signature) bool { return true } // total outage
 	c := New(Config{PageLimit: 100, DetailBatch: 6, DetailRetries: -1}, testClock, tr)
 	c.Poll()
@@ -425,7 +425,7 @@ func TestPendingDetailsResumeAcrossCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := New(Config{PageLimit: 100, DetailBatch: 6}, testClock, Direct{Store: store})
+	c2 := New(Config{PageLimit: 100, DetailBatch: 6}, testClock, &Direct{Store: store})
 	c2.Data = loaded
 	if c2.PendingDetails() != 12 {
 		t.Fatalf("pending queue lost across checkpoint: %d", c2.PendingDetails())
@@ -440,7 +440,7 @@ func TestPendingDetailsResumeAcrossCheckpoint(t *testing.T) {
 }
 
 // failingBefore fails only the backfill cursor endpoint.
-type failingBefore struct{ Direct }
+type failingBefore struct{ *Direct }
 
 func (f failingBefore) RecentBundlesBefore(uint64, int) ([]jito.BundleRecord, error) {
 	return nil, &faults.Error{Class: faults.ClassTimeout}
@@ -448,7 +448,7 @@ func (f failingBefore) RecentBundlesBefore(uint64, int) ([]jito.BundleRecord, er
 
 func TestBackfillErrorPath(t *testing.T) {
 	store := seededStore(5, 1)
-	c := New(Config{PageLimit: 5, BackfillPages: 3}, testClock, failingBefore{Direct{Store: store}})
+	c := New(Config{PageLimit: 5, BackfillPages: 3}, testClock, failingBefore{&Direct{Store: store}})
 	c.Poll()
 	// A 20-bundle spike breaks the overlap pair and triggers backfill,
 	// whose cursor endpoint is down.
@@ -472,7 +472,7 @@ func TestBackfillErrorPath(t *testing.T) {
 
 func TestBackfillClosesGap(t *testing.T) {
 	store := seededStore(10, 1)
-	c := New(Config{PageLimit: 5, BackfillPages: 10}, testClock, Direct{Store: store})
+	c := New(Config{PageLimit: 5, BackfillPages: 10}, testClock, &Direct{Store: store})
 	c.Poll() // covers 6..10
 	for i := 11; i <= 30; i++ {
 		store.Accept(0, fakeAccepted(i, 1, solana.Slot(i), 1_000))
@@ -505,7 +505,7 @@ func TestBackfillClosesGap(t *testing.T) {
 func TestResetOverlapChainAfterOutage(t *testing.T) {
 	run := func(reset bool) *Collector {
 		store := seededStore(10, 1)
-		c := New(Config{PageLimit: 5}, testClock, Direct{Store: store})
+		c := New(Config{PageLimit: 5}, testClock, &Direct{Store: store})
 		c.Poll() // covers 6..10
 		// An outage: 90 bundles scroll past uncollected.
 		for i := 11; i <= 100; i++ {

@@ -40,23 +40,35 @@ type Transport interface {
 
 // Direct is the in-process transport: it reads the explorer store without
 // HTTP. Used for large-scale studies and as the control in transport
-// equivalence tests.
+// equivalence tests. Like HTTP, it copies each page into storage it
+// reuses (see Transport), so one Direct serves one caller at a time per
+// method.
 type Direct struct {
 	Store *explorer.Store
+
+	recentPage, beforePage []jito.BundleRecord
 }
 
-// RecentBundles implements Transport.
-func (d Direct) RecentBundles(limit int) ([]jito.BundleRecord, error) {
-	return d.Store.Recent(limit), nil
+// RecentBundles implements Transport. The page is valid until the next
+// RecentBundles call.
+func (d *Direct) RecentBundles(limit int) ([]jito.BundleRecord, error) {
+	d.recentPage, _ = d.Store.AppendPage(d.recentPage[:0], 0, limit)
+	return d.recentPage, nil
 }
 
-// RecentBundlesBefore implements Transport.
-func (d Direct) RecentBundlesBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, error) {
-	return d.Store.RecentBefore(beforeSeq, limit)
+// RecentBundlesBefore implements Transport. The page is valid until the
+// next RecentBundlesBefore call.
+func (d *Direct) RecentBundlesBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, error) {
+	page, err := d.Store.AppendPage(d.beforePage[:0], beforeSeq, limit)
+	d.beforePage = page
+	if err != nil {
+		return nil, err
+	}
+	return page, nil
 }
 
 // TxDetails implements Transport.
-func (d Direct) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
+func (d *Direct) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
 	return d.Store.TxDetails(ids), nil
 }
 
@@ -74,7 +86,11 @@ var ErrCircuitOpen = errors.New("collector: circuit open")
 // counts, backoff delays, response bytes, consecutive-failure streaks.
 type HTTP struct {
 	BaseURL string
-	Client  *http.Client
+	// Client sends every request. The transport bounds each attempt —
+	// connect, response headers and the whole body — to 30 s itself, so
+	// NewHTTP's client carries no Timeout; a Timeout set on a
+	// caller-supplied client still applies on top of that bound.
+	Client *http.Client
 
 	// Context, when non-nil, bounds every request and backoff sleep;
 	// cancelling it aborts in-flight collection promptly. nil means
@@ -117,10 +133,12 @@ type HTTP struct {
 	breakers map[string]*breaker
 	jitterN  uint64
 
-	// recentPage and beforePage hold the last page each method decoded
-	// (see Transport): two, because Collector.poll still holds the
-	// newest page while backfill pages backwards.
-	recentPage, beforePage explorer.PageBuffer
+	// recentSlot, beforeSlot and detailSlot hold each method's reusable
+	// request state and the last page it decoded (see Transport and
+	// slot): one per method, because Collector.poll still holds the
+	// newest page while backfill pages backwards, and different methods
+	// may run at once.
+	recentSlot, beforeSlot, detailSlot slot
 
 	// Every tally the transport keeps — request attempts, retries,
 	// backoff sleeps, Retry-After honors, bytes read, breaker
@@ -156,7 +174,7 @@ type endpointObs struct {
 func NewHTTP(baseURL string) *HTTP {
 	h := &HTTP{
 		BaseURL:    baseURL,
-		Client:     &http.Client{Timeout: 30 * time.Second},
+		Client:     &http.Client{},
 		MaxRetries: 3,
 		Backoff:    50 * time.Millisecond,
 	}
@@ -356,17 +374,19 @@ func (h *HTTP) breakerFor(endpoint string) *breaker {
 	return br
 }
 
-// do runs one logical request with the full hardening loop: breaker
-// check, bounded retries with capped jittered backoff, Retry-After
-// honoring, 429/5xx/transport-error retry. The whole loop runs as one
-// child span under the bound trace — retries and backoff annotated, the
-// traceparent handed to send for header injection — so a slow call's
-// time is attributable from /tracez. On success the caller owns
-// resp.Body.
-func (h *HTTP) do(endpoint string, send func(ctx context.Context, traceparent string) (*http.Response, error)) (*http.Response, error) {
+// do runs one logical request of s with the full hardening loop:
+// breaker check, bounded retries with capped jittered backoff,
+// Retry-After honoring, 429/5xx/transport-error retry. Each attempt runs
+// under s's watchdog. The whole loop runs as one child span under the
+// bound trace — retries and backoff annotated, the traceparent sent as a
+// header — so a slow call's time is attributable from /tracez. On
+// success the caller owns resp.Body and s's armed watchdog, and hands
+// both to readBounded.
+func (h *HTTP) do(s *slot) (*http.Response, error) {
 	ctx := h.ctx()
+	endpoint := s.endpoint
 	eo := h.obsFor(endpoint)
-	sp := h.boundTrace().StartChild("http:" + endpoint)
+	sp := h.boundTrace().StartChild(s.span)
 	tp := sp.Ctx().Traceparent()
 	started := time.Now()
 	finish := func(resp *http.Response, err error) (*http.Response, error) {
@@ -407,8 +427,14 @@ func (h *HTTP) do(endpoint string, send func(ctx context.Context, traceparent st
 			break
 		}
 		eo.attempts.Inc()
-		resp, err := send(ctx, tp)
+		resp, err := h.send(s, s.wd.arm(ctx), tp)
 		if err != nil {
+			s.wd.disarm()
+			// The client may still hold a failed request: build afresh.
+			s.req = nil
+			if s.wd.fired() {
+				err = &faults.Error{Class: faults.ClassTimeout, Err: err}
+			}
 			lastErr = err
 			continue
 		}
@@ -421,16 +447,16 @@ func (h *HTTP) do(endpoint string, send func(ctx context.Context, traceparent st
 			return finish(resp, nil)
 		case resp.StatusCode == http.StatusTooManyRequests:
 			ra := parseRetryAfter(resp.Header, h.clock)
-			drain(resp)
+			s.drain(resp)
 			lastErr = &faults.Error{Class: faults.ClassThrottle, Status: resp.StatusCode, RetryAfter: ra}
 		case resp.StatusCode >= 500:
 			ra := parseRetryAfter(resp.Header, h.clock)
-			drain(resp)
+			s.drain(resp)
 			lastErr = &faults.Error{Class: faults.ClassServer, Status: resp.StatusCode, RetryAfter: ra}
 		default:
 			// Other 4xx: our request is wrong; retrying cannot help and
 			// the server is healthy, so the breaker stays untouched.
-			drain(resp)
+			s.drain(resp)
 			return finish(nil, fmt.Errorf("collector: %s: HTTP %d", endpoint, resp.StatusCode))
 		}
 	}
@@ -440,12 +466,6 @@ func (h *HTTP) do(endpoint string, send func(ctx context.Context, traceparent st
 		sp.Annotate("breaker:opened")
 	}
 	return finish(nil, fmt.Errorf("collector: %s: retries exhausted: %w", endpoint, lastErr))
-}
-
-// drain discards a response body so the connection can be reused.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-	resp.Body.Close()
 }
 
 // parseRetryAfter reads a Retry-After header: delay seconds (fractions
@@ -469,32 +489,27 @@ func parseRetryAfter(hdr http.Header, now func() time.Time) time.Duration {
 // RecentBundles implements Transport. The page is decoded into storage
 // the transport reuses: it is valid until the next RecentBundles call.
 func (h *HTTP) RecentBundles(limit int) ([]jito.BundleRecord, error) {
-	return h.recent(&h.recentPage, fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d", h.BaseURL, limit))
+	s := &h.recentSlot
+	s.query = strconv.AppendInt(append(s.query[:0], "limit="...), int64(limit), 10)
+	return h.recent(s)
 }
 
 // RecentBundlesBefore implements Transport. Like RecentBundles, the page
 // is valid until the next RecentBundlesBefore call.
 func (h *HTTP) RecentBundlesBefore(beforeSeq uint64, limit int) ([]jito.BundleRecord, error) {
-	return h.recent(&h.beforePage, fmt.Sprintf("%s/api/v1/bundles/recent?limit=%d&before=%d",
-		h.BaseURL, limit, beforeSeq))
+	s := &h.beforeSlot
+	s.query = strconv.AppendInt(append(s.query[:0], "limit="...), int64(limit), 10)
+	s.query = strconv.AppendUint(append(s.query, "&before="...), beforeSeq, 10)
+	return h.recent(s)
 }
 
-func (h *HTTP) recent(pb *explorer.PageBuffer, url string) ([]jito.BundleRecord, error) {
-	resp, err := h.do("recent", func(ctx context.Context, traceparent string) (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		if traceparent != "" {
-			req.Header.Set("traceparent", traceparent)
-		}
-		return h.Client.Do(req)
-	})
+func (h *HTTP) recent(s *slot) ([]jito.BundleRecord, error) {
+	s.init("recent", "/api/v1/bundles/recent", http.MethodGet)
+	resp, err := h.do(s)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := readBounded(h, "recent", resp.Body, pb.Read)
+	body, err := readBounded(h, s, resp, s.page.Read)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding recent bundles: %w", err)
 	}
@@ -503,27 +518,18 @@ func (h *HTTP) recent(pb *explorer.PageBuffer, url string) ([]jito.BundleRecord,
 
 // TxDetails implements Transport.
 func (h *HTTP) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
-	// One allocation, sized for the longest signatures. The payload is
-	// not pooled: the HTTP transport may still be reading a request body
-	// after Do returns.
-	payload := explorer.AppendDetailRequest(make([]byte, 0, 16+len(ids)*(base58SigMax+3)), explorer.DetailRequest{IDs: ids})
-	url := h.BaseURL + "/api/v1/transactions"
-	resp, err := h.do("details", func(ctx context.Context, traceparent string) (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if traceparent != "" {
-			req.Header.Set("traceparent", traceparent)
-		}
-		return h.Client.Do(req)
-	})
+	s := &h.detailSlot
+	s.init("details", "/api/v1/transactions", http.MethodPost)
+	// One allocation per call, sized for the longest signatures. The
+	// payload is not reused: the HTTP client may still be reading a
+	// request body after Do returns.
+	s.payload = explorer.AppendDetailRequest(make([]byte, 0, 16+len(ids)*(base58SigMax+3)), explorer.DetailRequest{IDs: ids})
+	resp, err := h.do(s)
+	s.payload = nil
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := readBounded(h, "details", resp.Body, explorer.ReadDetailResponse)
+	body, err := readBounded(h, s, resp, explorer.ReadDetailResponse)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding tx details: %w", err)
 	}
@@ -533,20 +539,167 @@ func (h *HTTP) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
 // base58SigMax is the longest base58 form of a 64-byte signature.
 const base58SigMax = 88
 
-// readBounded reads a JSON body whole through an io.LimitReader, so a
-// hostile or damaged payload is capped at MaxBody bytes, and decodes it
-// with the explorer's wire codec (encoding/json's verdict on anything
-// non-canonical). A body cut by the cap (or by the wire) classifies as
-// truncation; syntactically invalid bytes classify as corruption. The
-// body bytes read land on the endpoint's
+// readBounded reads resp's JSON body whole, capped at MaxBody bytes so a
+// hostile or damaged payload cannot balloon memory and sized once from
+// its Content-Length, and decodes it with the explorer's wire codec
+// (encoding/json's verdict on anything non-canonical). It then closes
+// the body and ends the attempt's watchdog. A body cut by the cap (or by
+// the wire) classifies as truncation; syntactically invalid bytes
+// classify as corruption; a body the watchdog cut short, as a timeout.
+// The body bytes read land on the endpoint's
 // collector_http_response_bytes_total counter.
-func readBounded[T any](h *HTTP, endpoint string, body io.Reader, read func(io.Reader) (T, int, error)) (T, error) {
-	v, n, err := read(io.LimitReader(body, h.maxBody()))
-	h.obsFor(endpoint).bytes.Add(uint64(n))
+func readBounded[T any](h *HTTP, s *slot, resp *http.Response, read func(io.Reader) (T, int, error)) (T, error) {
+	limit := h.maxBody()
+	s.limited = io.LimitedReader{R: resp.Body, N: limit}
+	s.body = explorer.SizedBody{R: &s.limited, Hint: resp.ContentLength, Limit: limit}
+	v, n, err := read(&s.body)
+	s.limited.R = nil
+	resp.Body.Close()
+	s.wd.disarm()
+	h.obsFor(s.endpoint).bytes.Add(uint64(n))
 	if err != nil {
-		return v, &faults.Error{Class: faults.DecodeClass(err), Err: err}
+		class := faults.DecodeClass(err)
+		if s.wd.fired() {
+			class = faults.ClassTimeout
+		}
+		return v, &faults.Error{Class: class, Err: err}
 	}
 	return v, nil
+}
+
+// requestTimeout bounds one attempt: connect, response headers and the
+// whole body. A variable so tests can shorten it.
+var requestTimeout = 30 * time.Second
+
+// slot is one transport method's reusable request state. A slot serves
+// one call at a time (the page rule of Transport); different methods'
+// slots may be in use at once. Every attempt runs under the slot's
+// watchdog. A GET slot also keeps one prebuilt request — URL parsed,
+// header map allocated — whose query and traceparent each call
+// rewrites, and the page buffer its method decodes into. The POST slot
+// builds a fresh request and body every attempt: the HTTP client may
+// still read a request body after Do returns.
+type slot struct {
+	endpoint string // the collector_http_* endpoint label
+	span     string // the child span's name
+	path     string // URL path under BaseURL
+	method   string
+
+	wd watchdog
+
+	// base and url are BaseURL and the request URL built on it.
+	base, url string
+	// req is the GET slot's request, nil until built and after a failed
+	// attempt; query is the raw query the next attempt sends and tp the
+	// backing of its traceparent header value.
+	req   *http.Request
+	query []byte
+	tp    [1]string
+	page  explorer.PageBuffer
+
+	// payload is the POST slot's request body for the call in flight.
+	payload []byte
+
+	// limited and body wrap the response body being read.
+	limited io.LimitedReader
+	body    explorer.SizedBody
+}
+
+// init names the slot on first use.
+func (s *slot) init(endpoint, path, method string) {
+	if s.endpoint == "" {
+		s.endpoint, s.span, s.path, s.method = endpoint, "http:"+endpoint, path, method
+	}
+}
+
+// send issues one attempt of s's request under ctx, the attempt's
+// watchdog context.
+func (h *HTTP) send(s *slot, ctx context.Context, traceparent string) (*http.Response, error) {
+	if s.base != h.BaseURL || s.url == "" {
+		s.base, s.url, s.req = h.BaseURL, h.BaseURL+s.path, nil
+	}
+	if s.method == http.MethodPost {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url, bytes.NewReader(s.payload))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if traceparent != "" {
+			req.Header.Set("traceparent", traceparent)
+		}
+		return h.Client.Do(req)
+	}
+	if s.req == nil || s.req.Context() != ctx {
+		req, err := http.NewRequestWithContext(ctx, s.method, s.url, nil)
+		if err != nil {
+			return nil, err
+		}
+		s.req = req
+	}
+	if string(s.query) != s.req.URL.RawQuery {
+		s.req.URL.RawQuery = string(s.query)
+	}
+	if traceparent == "" {
+		delete(s.req.Header, "Traceparent")
+	} else {
+		s.tp[0] = traceparent
+		s.req.Header["Traceparent"] = s.tp[:]
+	}
+	return h.Client.Do(s.req)
+}
+
+// drain discards a response body so the connection can be reused, and
+// ends the attempt's watchdog.
+func (s *slot) drain(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
+	resp.Body.Close()
+	s.wd.disarm()
+}
+
+// watchdog bounds one attempt at a time to requestTimeout: a cancellable
+// child of the transport's context, and one timer that cancels it with a
+// context.DeadlineExceeded cause (which faults.Classify reads as a
+// timeout). Both are reused: arm resets the timer before each attempt,
+// disarm stops it once the attempt's body has been read. They are
+// rebuilt only after the timer fired, the parent context was cancelled
+// or replaced.
+type watchdog struct {
+	parent context.Context
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	timer  *time.Timer
+	armed  bool
+	spent  bool // the timer fired, or was firing, when last stopped
+}
+
+// arm starts the bound on one attempt under parent and returns the
+// attempt's context.
+func (w *watchdog) arm(parent context.Context) context.Context {
+	if w.ctx == nil || w.spent || w.parent != parent || w.ctx.Err() != nil {
+		if w.cancel != nil {
+			w.cancel(context.Canceled)
+		}
+		ctx, cancel := context.WithCancelCause(parent)
+		w.parent, w.ctx, w.cancel, w.spent = parent, ctx, cancel, false
+		w.timer = time.AfterFunc(requestTimeout, func() { cancel(context.DeadlineExceeded) })
+	} else {
+		w.timer.Reset(requestTimeout)
+	}
+	w.armed = true
+	return w.ctx
+}
+
+// disarm ends the bound on the current attempt.
+func (w *watchdog) disarm() {
+	if w.armed && !w.timer.Stop() {
+		w.spent = true
+	}
+	w.armed = false
+}
+
+// fired reports whether the timer cut the current attempt short.
+func (w *watchdog) fired() bool {
+	return w.ctx != nil && errors.Is(context.Cause(w.ctx), context.DeadlineExceeded)
 }
 
 // breaker is a per-endpoint circuit breaker: closed → open after

@@ -159,6 +159,30 @@ func TestDetailHandlerOversizedBody(t *testing.T) {
 	}
 }
 
+// TestDetailHandlerChunkedBodyGrowth: a body of unknown length read to
+// the 1 MiB cap grows its buffer by doubling, up to just past the cap, so
+// the whole refusal allocates under 2.5 MiB (growing by append's ~1.25×
+// step allocated ~5 MiB).
+func TestDetailHandlerChunkedBodyGrowth(t *testing.T) {
+	body := append(AppendDetailRequest(nil, DetailRequest{IDs: []solana.Signature{{1}}}), bytes.Repeat([]byte{' '}, 2*maxDetailBody)...)
+	srv := NewServer(NewStore(), 0)
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/api/v1/transactions", hiddenLength{bytes.NewReader(body)})
+	r.ContentLength = -1
+	runtime.GC() // two cycles empty the scratch pool: a cold read
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	srv.ServeHTTP(rec, r)
+	runtime.ReadMemStats(&m1)
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != "bad request body\n" {
+		t.Errorf("chunked body past the cap: %d %q, want 400 bad request body", rec.Code, rec.Body)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 5<<19 {
+		t.Errorf("chunked body past the cap: handler allocated %d B, want ≤ 2.5 MiB", alloc)
+	}
+}
+
 // TestMaxDetailBatchFitsBodyCap checks the cap against the longest
 // canonical request the collector can send: MaxDetailBatch ids whose
 // base58 form is the full 88 characters.

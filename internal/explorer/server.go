@@ -340,7 +340,7 @@ func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 	}
 	pb := idPool.Get().(*PageBuffer)
 	defer putIDs(pb)
-	req, _, err := pb.readIDs(http.MaxBytesReader(w, r.Body, maxDetailBody))
+	req, _, err := pb.readIDs(http.MaxBytesReader(w, r.Body, maxDetailBody), r.ContentLength, maxDetailBody)
 	if err != nil {
 		http.Error(w, "bad request body", http.StatusBadRequest)
 		return

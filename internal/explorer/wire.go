@@ -33,7 +33,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -232,14 +231,38 @@ func ReadDetailResponse(r io.Reader) (DetailResponse, int, error) {
 	return readWire(r, parseDetailResponse)
 }
 
+// SizedBody is a body whose size is partly known: Hint is its declared
+// length (an HTTP Content-Length, or ≤ 0 when unknown) and Limit the most
+// bytes R yields (a cap on it, or 0 when unbounded). The Read* decoders
+// size their buffer for Hint (at most Limit) once rather than growing it,
+// and never grow it further past Limit than one read that detects the
+// end needs.
+type SizedBody struct {
+	R     io.Reader
+	Hint  int64
+	Limit int64
+}
+
+// Read implements io.Reader.
+func (b *SizedBody) Read(p []byte) (int, error) { return b.R.Read(p) }
+
 // readWire reads r whole into a pooled buffer and decodes it: the
 // canonical form through parse, anything else (or a body whose read
 // failed) through json.Decoder over the same bytes and error. parse
 // returns its value rather than filling a pointer, so the value stays
-// off the heap on the canonical path.
+// off the heap on the canonical path. A *SizedBody sizes the read.
 func readWire[T any](r io.Reader, parse func([]byte) (T, bool)) (T, int, error) {
+	var hint, limit int64
+	if b, ok := r.(*SizedBody); ok {
+		r, hint, limit = b.R, b.Hint, b.Limit
+	}
+	return readSized(r, hint, limit, parse)
+}
+
+// readSized is readWire with the body's size hint and limit given.
+func readSized[T any](r io.Reader, hint, limit int64, parse func([]byte) (T, bool)) (T, int, error) {
 	sp := getScratch()
-	body, rerr := readAll((*sp)[:0], r)
+	body, rerr := readAll((*sp)[:0], r, hint, limit)
 	var v T
 	ok := false
 	if rerr == nil {
@@ -270,11 +293,29 @@ func decodeJSON[T any](body []byte, rerr error) (T, error) {
 	return v, err
 }
 
-// readAll is io.ReadAll appending to dst; EOF is not an error.
-func readAll(dst []byte, r io.Reader) ([]byte, error) {
+// readSpare is the least free space readAll reads into.
+const readSpare = 512
+
+// readAll is io.ReadAll appending to dst; EOF is not an error. A
+// positive hint (capped at a positive limit) is the expected body
+// length: dst is sized for it once. Otherwise dst doubles as it fills,
+// except that a step that would reach limit goes to limit plus the spare
+// that one more read needs to see the end: the most a reader capped at
+// limit can return.
+func readAll(dst []byte, r io.Reader, hint, limit int64) ([]byte, error) {
+	if limit > 0 && hint > limit {
+		hint = limit
+	}
+	if hint > 0 && int64(cap(dst)-len(dst)) < hint+readSpare {
+		dst = regrow(dst, len(dst)+int(hint)+readSpare)
+	}
 	for {
-		if cap(dst)-len(dst) < 512 {
-			dst = slices.Grow(dst, 512)
+		if cap(dst)-len(dst) < readSpare {
+			n := max(2*cap(dst), len(dst)+readSpare)
+			if limit > 0 && int64(n) >= limit {
+				n = max(int(limit), len(dst)) + readSpare
+			}
+			dst = regrow(dst, n)
 		}
 		n, err := r.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]
@@ -285,6 +326,13 @@ func readAll(dst []byte, r io.Reader) ([]byte, error) {
 			return dst, err
 		}
 	}
+}
+
+// regrow copies dst into fresh storage of capacity n.
+func regrow(dst []byte, n int) []byte {
+	grown := make([]byte, len(dst), n)
+	copy(grown, dst)
+	return grown
 }
 
 // tooLarge reports whether err is an http.MaxBytesReader's cap.
@@ -364,8 +412,8 @@ func (pb *PageBuffer) keep(recs []jito.BundleRecord, sigs []solana.Signature) {
 
 // readIDs decodes r's body exactly as ReadDetailRequest does, into pb's
 // signature arena: the ids are valid until the next read on pb.
-func (pb *PageBuffer) readIDs(r io.Reader) (DetailRequest, int, error) {
-	return readWire(r, pb.parseIDs)
+func (pb *PageBuffer) readIDs(r io.Reader, hint, limit int64) (DetailRequest, int, error) {
+	return readSized(r, hint, limit, pb.parseIDs)
 }
 
 // parseDetailRequest parses a canonical detail request into fresh

@@ -456,11 +456,14 @@ func FuzzDecodeDetailRequest(f *testing.F) {
 		checkDecode(t, body, ReadDetailRequest)
 		for _, d := range dirty {
 			if !bytes.Equal(d, body) {
-				checkReuse(t, d, body, (*PageBuffer).readIDs, ReadDetailRequest)
+				checkReuse(t, d, body, readIDs, ReadDetailRequest)
 			}
 		}
 	})
 }
+
+// readIDs is PageBuffer.readIDs with no size hint or limit.
+func readIDs(pb *PageBuffer, r io.Reader) (DetailRequest, int, error) { return pb.readIDs(r, 0, 0) }
 
 func FuzzDecodeDetailResponse(f *testing.F) {
 	_, _, resps := goldenCases()

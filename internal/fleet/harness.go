@@ -105,7 +105,7 @@ func RunFleet(cfg HarnessConfig) (*HarnessResult, error) {
 	errs := make([]error, cfg.Replicas)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Replicas; i++ {
-		var transport collector.Transport = collector.Direct{Store: cfg.Store}
+		var transport collector.Transport = &collector.Direct{Store: cfg.Store}
 		if cfg.FaultRate > 0 {
 			transport = faults.WrapTransport(transport,
 				faults.NewInjector(cfg.ChaosSeed+int64(i), cfg.FaultRate), faults.TransportOptions{})

@@ -168,7 +168,7 @@ func TestFleetOverHTTPCoordinator(t *testing.T) {
 		rep := NewReplica(ReplicaConfig{
 			ID:         fmt.Sprintf("wire-replica-%d", i),
 			Clock:      clock,
-			Transport:  collector.Direct{Store: store},
+			Transport:  &collector.Direct{Store: store},
 			Coord:      client,
 			Partitions: 4,
 			PageLimit:  75,

@@ -217,12 +217,9 @@ func (r *BundleRecord) Equal(o *BundleRecord) bool {
 func (r *BundleRecord) Tip() solana.Lamports { return solana.Lamports(r.TipLamps) }
 
 // TokenDelta is a per-transaction balance change as serialized by the
-// Explorer's detail endpoint.
-type TokenDelta struct {
-	Owner solana.Pubkey `json:"owner"`
-	Mint  solana.Pubkey `json:"mint"`
-	Delta int64         `json:"delta"`
-}
+// Explorer's detail endpoint: the ledger's own delta, so a detail shares
+// its execution result's array.
+type TokenDelta = ledger.TokenDelta
 
 // TxDetail is what the Explorer's bulk transaction endpoint returns: the
 // signer, the token balance changes, the lamport tip, and whether the
@@ -255,21 +252,15 @@ func (d *TxDetail) Equal(o *TxDetail) bool {
 }
 
 // DetailFromResult converts an execution result into the Explorer's detail
-// record.
+// record. The detail shares the result's TokenDeltas array.
 func DetailFromResult(res *ledger.TxResult, slot solana.Slot) TxDetail {
-	d := TxDetail{
+	return TxDetail{
 		Sig:         res.Sig,
 		Signer:      res.Signer,
 		Slot:        slot,
 		Failed:      res.Err != nil,
 		TipLamports: uint64(res.Tip),
 		TipOnly:     res.TipOnly,
+		TokenDeltas: res.TokenDeltas,
 	}
-	if n := len(res.TokenDeltas); n > 0 {
-		d.TokenDeltas = make([]TokenDelta, n)
-		for i, td := range res.TokenDeltas {
-			d.TokenDeltas[i] = TokenDelta{Owner: td.Owner, Mint: td.Mint, Delta: td.Delta}
-		}
-	}
-	return d
 }

@@ -39,11 +39,12 @@ type TokenKey struct {
 // TokenDelta is the net change of one (owner, mint) balance caused by a
 // transaction — the simulated equivalent of Solana's pre/postTokenBalances,
 // which is what the Jito Explorer's detail endpoint exposes and what the
-// paper's detector consumes.
+// paper's detector consumes. The JSON tags are the explorer's wire names:
+// jito.TokenDelta is this type.
 type TokenDelta struct {
-	Owner solana.Pubkey
-	Mint  solana.Pubkey
-	Delta int64
+	Owner solana.Pubkey `json:"owner"`
+	Mint  solana.Pubkey `json:"mint"`
+	Delta int64         `json:"delta"`
 }
 
 // LamportDelta is the net lamport change of one account caused by a

@@ -61,13 +61,20 @@ func (t *tracker) finish(b *Bank, res *TxResult) {
 			res.LamportDeltas = append(res.LamportDeltas, LamportDelta{Account: p.key, Delta: d})
 		}
 	}
+	// The token deltas go to the explorer's detail record as they are
+	// (jito.DetailFromResult shares the array), so size it exactly.
+	moved := 0
 	for _, p := range t.preTokens {
-		d := int64(b.tokens[p.key]) - int64(p.old)
-		if d != 0 {
-			if res.TokenDeltas == nil {
-				res.TokenDeltas = make([]TokenDelta, 0, len(t.preTokens))
+		if b.tokens[p.key] != p.old {
+			moved++
+		}
+	}
+	if moved > 0 {
+		res.TokenDeltas = make([]TokenDelta, 0, moved)
+		for _, p := range t.preTokens {
+			if d := int64(b.tokens[p.key]) - int64(p.old); d != 0 {
+				res.TokenDeltas = append(res.TokenDeltas, TokenDelta{Owner: p.key.Owner, Mint: p.key.Mint, Delta: d})
 			}
-			res.TokenDeltas = append(res.TokenDeltas, TokenDelta{Owner: p.key.Owner, Mint: p.key.Mint, Delta: d})
 		}
 	}
 	sortLamportDeltas(res.LamportDeltas)

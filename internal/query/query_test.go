@@ -37,7 +37,7 @@ func buildStudyDataset(tb testing.TB) *collector.Dataset {
 		store := explorer.NewStore()
 		store.RetainDetailsFor(3, 4, 5)
 		coll := collector.New(collector.Config{DetailLengths: []int{4, 5}},
-			st.P.Clock(), collector.Direct{Store: store})
+			st.P.Clock(), &collector.Direct{Store: store})
 		sink := &collector.PollingSink{Store: store, Collector: coll, InOutage: st.P.InOutage}
 		st.Run(sink)
 		if _, err := coll.FetchDetails(); err != nil {
@@ -268,7 +268,7 @@ func writeStudyFile(tb testing.TB, dir string, seed int64, days int) string {
 	tb.Helper()
 	st := workload.New(workload.Params{Seed: seed, Days: days, Scale: 20_000})
 	store := explorer.NewStore()
-	coll := collector.New(collector.Config{}, st.P.Clock(), collector.Direct{Store: store})
+	coll := collector.New(collector.Config{}, st.P.Clock(), &collector.Direct{Store: store})
 	sink := &collector.PollingSink{Store: store, Collector: coll, InOutage: st.P.InOutage}
 	st.Run(sink)
 	if _, err := coll.FetchDetails(); err != nil {

@@ -28,7 +28,7 @@ func buildStudyDataset(tb testing.TB) (*collector.Dataset, *workload.GroundTruth
 		store := explorer.NewStore()
 		store.RetainDetailsFor(3, 4, 5)
 		coll := collector.New(collector.Config{DetailLengths: []int{4, 5}},
-			st.P.Clock(), collector.Direct{Store: store})
+			st.P.Clock(), &collector.Direct{Store: store})
 		sink := &collector.PollingSink{Store: store, Collector: coll, InOutage: st.P.InOutage}
 		st.Run(sink)
 		if _, err := coll.FetchDetails(); err != nil {

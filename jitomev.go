@@ -226,7 +226,7 @@ func Run(cfg Config) (*Outcome, error) {
 		chaos = faults.NewInjectorObs(cfg.ChaosSeed, cfg.FaultRate, reg)
 	}
 
-	var transport collector.Transport = collector.Direct{Store: store}
+	var transport collector.Transport = &collector.Direct{Store: store}
 	var shutdown func()
 	if cfg.UseHTTP {
 		var handler http.Handler = explorer.NewServerObs(store, 0, reg)
