@@ -139,7 +139,7 @@ func main() {
 	// paper §2.2, made exact).
 	w = newWorld()
 	pool, _ := w.bank.PoolSnapshot(w.pool.Address)
-	safe, ok := amm.SafeSlippageBps(pool, token.SOL.Address, 2_000_000_000, 50_000, 1_000)
+	safe, ok := amm.SafeSlippageBps(&pool, token.SOL.Address, 2_000_000_000, 50_000, 1_000)
 	if ok {
 		fmt.Printf("\nfor this 2-wSOL trade on this pool, any tolerance at or below %d bps\n", safe)
 		fmt.Println("leaves no sandwich clearing a 50k-lamport profit floor (amm.SafeSlippageBps).")

@@ -322,7 +322,7 @@ func TestDetectEndToEnd(t *testing.T) {
 	quote, _ := pool.QuoteOut(token.SOL.Address, victimIn)
 	minOut := quote * 9_500 / 10_000
 	snap, _ := bank.PoolSnapshot(pool.Address)
-	plan, ok := amm.PlanSandwich(snap, token.SOL.Address, victimIn, minOut, 1<<40)
+	plan, ok := amm.PlanSandwich(&snap, token.SOL.Address, victimIn, minOut, 1<<40)
 	if !ok {
 		t.Fatal("no plan")
 	}

@@ -14,10 +14,10 @@
 package explorer
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"jitomev/internal/jito"
@@ -39,6 +39,14 @@ const MaxPageLimit = 50_000
 // paper requested "only 10,000 transactions at a time").
 const MaxDetailBatch = 10_000
 
+// recordChunkLen is the number of bundle records one Store chunk holds:
+// 256 × 88 B, about 22 KiB per allocation, so a study of a few thousand
+// bundles leaves at most one part-filled chunk.
+const recordChunkLen = 256
+
+// recordChunk is a fixed block of bundle records, in acceptance order.
+type recordChunk [recordChunkLen]jito.BundleRecord
+
 // Store is the explorer's backing data: every bundle the block engine ever
 // accepted, in acceptance order, plus transaction details. It implements
 // the workload Sink contract so a study streams straight into it.
@@ -46,9 +54,14 @@ const MaxDetailBatch = 10_000
 // Details are retained only for bundles whose length is in DetailLengths
 // (default: length 3) — mirroring both the paper's collection choice and
 // the memory reality of holding four months of traffic.
+//
+// Records live in fixed-size chunks that never move, as details do in a
+// jito.DetailSet, so accepting a bundle never copies the records before
+// it.
 type Store struct {
 	mu      sync.RWMutex
-	records []jito.BundleRecord
+	chunks  []*recordChunk
+	n       int // records held
 	details jito.DetailSet
 
 	// DetailLengths selects which bundle lengths get their transaction
@@ -77,7 +90,11 @@ func (s *Store) RetainDetailsFor(lengths ...int) {
 func (s *Store) Accept(_ int, acc *jito.Accepted) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.records = append(s.records, acc.Record)
+	if s.n%recordChunkLen == 0 {
+		s.chunks = append(s.chunks, new(recordChunk))
+	}
+	*s.at(s.n) = acc.Record
+	s.n++
 	if s.detailLengths[acc.Record.NumTxs()] {
 		for i := range acc.Details {
 			s.details.Put(acc.Details[i])
@@ -89,7 +106,21 @@ func (s *Store) Accept(_ int, acc *jito.Accepted) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.records)
+	return s.n
+}
+
+// at returns record i, 0 <= i < n. The caller holds mu.
+func (s *Store) at(i int) *jito.BundleRecord {
+	return &s.chunks[i/recordChunkLen][i%recordChunkLen]
+}
+
+// highWater returns the newest record's Seq, or 0 when the store is
+// empty. The caller holds mu.
+func (s *Store) highWater() uint64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.at(s.n - 1).Seq
 }
 
 // Recent returns the most recent limit bundles, newest first, capped at
@@ -108,10 +139,7 @@ func (s *Store) Recent(limit int) []jito.BundleRecord {
 func (s *Store) HighWater() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.records) == 0 {
-		return 0
-	}
-	return s.records[len(s.records)-1].Seq
+	return s.highWater()
 }
 
 // RecentBefore returns up to limit bundles whose acceptance sequence is
@@ -148,25 +176,19 @@ func (s *Store) AppendPage(dst []jito.BundleRecord, beforeSeq uint64, limit int)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if n := len(s.records); beforeSeq > 0 && (n == 0 || beforeSeq > s.records[n-1].Seq+1) {
-		var hw uint64
-		if n > 0 {
-			hw = s.records[n-1].Seq
-		}
+	if hw := s.highWater(); beforeSeq > 0 && (s.n == 0 || beforeSeq > hw+1) {
 		return dst, fmt.Errorf("%w: before=%d, high-water %d", ErrInvalidCursor, beforeSeq, hw)
 	}
 	// Seq is assigned in acceptance order, so records are sorted by Seq;
 	// binary search the upper bound.
-	hi := len(s.records)
+	hi := s.n
 	if beforeSeq > 0 {
-		hi, _ = slices.BinarySearchFunc(s.records, beforeSeq, func(r jito.BundleRecord, seq uint64) int {
-			return cmp.Compare(r.Seq, seq)
-		})
+		hi = sort.Search(s.n, func(i int) bool { return s.at(i).Seq >= beforeSeq })
 	}
 	limit = min(limit, hi)
 	dst = slices.Grow(dst, limit)
 	for i := 1; i <= limit; i++ {
-		dst = append(dst, s.records[hi-i])
+		dst = append(dst, *s.at(hi - i))
 	}
 	return dst, nil
 }
@@ -204,5 +226,12 @@ func (s *Store) AppendTxDetails(dst []jito.TxDetail, ids []solana.Signature) []j
 func (s *Store) All() []jito.BundleRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]jito.BundleRecord(nil), s.records...)
+	if s.n == 0 {
+		return nil
+	}
+	all := make([]jito.BundleRecord, 0, s.n)
+	for _, c := range s.chunks {
+		all = append(all, c[:min(s.n-len(all), recordChunkLen)]...)
+	}
+	return all
 }

@@ -83,6 +83,10 @@ func (e *BlockEngine) PendingCount() int { return len(e.pending) }
 // back — the equivalent of Jito's simulateBundle RPC. Searchers use it to
 // drop plans invalidated by state that moved between quoting and
 // submission, instead of burning a slot on an atomic rejection.
+//
+// The results are the bank's reused ExecuteBundle results: they stay
+// valid until the bank's next ExecuteTx or ExecuteBundle call, including
+// the next Simulate or ProcessSlot.
 func (e *BlockEngine) Simulate(b *Bundle) ([]*ledger.TxResult, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err

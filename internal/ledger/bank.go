@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"jitomev/internal/amm"
@@ -77,17 +78,47 @@ type TxResult struct {
 	Swaps         []SwapEffect
 }
 
+// account is one account's state: its lamports and its token balances,
+// indexed by the bank's mint index. Indices past the end of tokens hold
+// zero. An account, once created, stays at the same address, so journal
+// entries and tracker pre-images point at it instead of naming it.
+type account struct {
+	key      solana.Pubkey
+	lamports solana.Lamports
+	tokens   []uint64
+}
+
+// balance returns the account's balance of the mint with index m.
+func (a *account) balance(m int32) uint64 {
+	if int(m) < len(a.tokens) {
+		return a.tokens[m]
+	}
+	return 0
+}
+
 // Bank is the single-threaded account state machine: a Bank must only be
 // used from one goroutine at a time. Callers that need concurrency wrap
 // it; block production is inherently sequential per slot, so the hot path
-// stays lock-free. The bank recycles its per-transaction scratch (undo
-// journals and delta trackers), so steady-state execution allocates only
-// the results it returns.
+// stays lock-free.
+//
+// The state is one record per account, holding its lamports and its token
+// balances by mint index, so an instruction looks each distinct account
+// up once and undoing a write looks nothing up. The bank recycles its
+// per-transaction scratch (undo journals, delta trackers and the results
+// ExecuteBundle returns), so steady-state execution allocates only the
+// results callers keep.
 type Bank struct {
 	slot     solana.Slot
-	lamports map[solana.Pubkey]solana.Lamports
-	tokens   map[TokenKey]uint64
+	accounts map[solana.Pubkey]*account
+	mints    map[solana.Pubkey]int32 // mint → index into every account's tokens
+	mintKeys []solana.Pubkey         // index → mint
 	pools    map[solana.Pubkey]*amm.Pool
+
+	// reserved storage handed to new accounts: records, and token
+	// balances in runs of reservedTokens
+	reserved       []account
+	reservedCells  []uint64
+	reservedTokens int
 
 	// journal, non-nil while a checkpoint is open
 	journal *journal
@@ -99,6 +130,10 @@ type Bank struct {
 	freeJournals []*journal
 	freeTrackers []*tracker
 
+	// ExecuteBundle's results, reused by the next Execute* call
+	slots   []resultSlot
+	results []*TxResult
+
 	// running totals
 	FeesCollected solana.Lamports
 	TipsCollected solana.Lamports
@@ -109,8 +144,8 @@ type Bank struct {
 // NewBank returns an empty bank at slot 0.
 func NewBank() *Bank {
 	return &Bank{
-		lamports: make(map[solana.Pubkey]solana.Lamports),
-		tokens:   make(map[TokenKey]uint64),
+		accounts: make(map[solana.Pubkey]*account),
+		mints:    make(map[solana.Pubkey]int32),
 		pools:    make(map[solana.Pubkey]*amm.Pool),
 	}
 }
@@ -126,30 +161,71 @@ func (b *Bank) SetSlot(s solana.Slot) {
 	b.slot = s
 }
 
+// account returns k's record, creating an empty one if needed.
+func (b *Bank) account(k solana.Pubkey) *account {
+	if a := b.accounts[k]; a != nil {
+		return a
+	}
+	var a *account
+	if len(b.reserved) > 0 {
+		a = &b.reserved[0]
+		b.reserved = b.reserved[1:]
+		n := b.reservedTokens
+		a.tokens = b.reservedCells[:0:n]
+		b.reservedCells = b.reservedCells[n:]
+	} else {
+		a = new(account)
+	}
+	a.key = k
+	b.accounts[k] = a
+	return a
+}
+
+// mintIndex returns mint's index, assigning the next one if needed.
+func (b *Bank) mintIndex(mint solana.Pubkey) int32 {
+	if m, ok := b.mints[mint]; ok {
+		return m
+	}
+	m := int32(len(b.mintKeys))
+	b.mints[mint] = m
+	b.mintKeys = append(b.mintKeys, mint)
+	return m
+}
+
 // --- funding & setup ------------------------------------------------------
 
 // CreditLamports adds lamports to an account, creating it if needed.
 func (b *Bank) CreditLamports(acct solana.Pubkey, amt solana.Lamports) {
-	b.setLamports(acct, b.lamports[acct]+amt)
+	a := b.account(acct)
+	b.setLamports(a, a.lamports+amt)
 }
 
 // MintTo credits base units of mint to owner.
 func (b *Bank) MintTo(owner, mint solana.Pubkey, amount uint64) {
-	k := TokenKey{Owner: owner, Mint: mint}
-	b.setToken(k, b.tokens[k]+amount)
+	a, m := b.account(owner), b.mintIndex(mint)
+	b.setToken(a, m, a.balance(m)+amount)
 }
 
-// Reserve makes room for accounts more lamport balances and
-// tokenAccounts more token balances, so funding a known population
-// sizes each map once instead of growing it entry by entry. Existing
-// balances are kept.
+// Reserve makes room for accounts more accounts holding tokenAccounts
+// more token balances between them, so funding a known population
+// allocates once instead of account by account. Each new account gets
+// room for every mint known now plus its share of tokenAccounts in new
+// mints. Existing balances are kept.
 func (b *Bank) Reserve(accounts, tokenAccounts int) {
-	lamports := make(map[solana.Pubkey]solana.Lamports, len(b.lamports)+accounts)
-	maps.Copy(lamports, b.lamports)
-	b.lamports = lamports
-	tokens := make(map[TokenKey]uint64, len(b.tokens)+tokenAccounts)
-	maps.Copy(tokens, b.tokens)
-	b.tokens = tokens
+	if accounts <= 0 {
+		return
+	}
+	grown := make(map[solana.Pubkey]*account, len(b.accounts)+accounts)
+	maps.Copy(grown, b.accounts)
+	b.accounts = grown
+	newMints := (max(tokenAccounts, 0) + accounts - 1) / accounts
+	mints := make(map[solana.Pubkey]int32, len(b.mints)+newMints)
+	maps.Copy(mints, b.mints)
+	b.mints = mints
+	b.mintKeys = slices.Grow(b.mintKeys, newMints)
+	b.reservedTokens = len(b.mintKeys) + newMints
+	b.reserved = make([]account, accounts)
+	b.reservedCells = make([]uint64, accounts*b.reservedTokens)
 }
 
 // AddPool registers an AMM pool. The bank owns the pool from here on.
@@ -158,20 +234,30 @@ func (b *Bank) AddPool(p *amm.Pool) { b.pools[p.Address] = p }
 // --- read access ----------------------------------------------------------
 
 // Lamports returns an account's lamport balance.
-func (b *Bank) Lamports(acct solana.Pubkey) solana.Lamports { return b.lamports[acct] }
+func (b *Bank) Lamports(acct solana.Pubkey) solana.Lamports {
+	if a := b.accounts[acct]; a != nil {
+		return a.lamports
+	}
+	return 0
+}
 
 // TokenBalance returns a token balance in base units.
 func (b *Bank) TokenBalance(owner, mint solana.Pubkey) uint64 {
-	return b.tokens[TokenKey{Owner: owner, Mint: mint}]
+	a := b.accounts[owner]
+	m, ok := b.mints[mint]
+	if a == nil || !ok {
+		return 0
+	}
+	return a.balance(m)
 }
 
-// PoolSnapshot returns an independent copy of a pool for what-if planning.
-func (b *Bank) PoolSnapshot(addr solana.Pubkey) (*amm.Pool, bool) {
+// PoolSnapshot returns a copy of a pool, by value, for what-if planning.
+func (b *Bank) PoolSnapshot(addr solana.Pubkey) (amm.Pool, bool) {
 	p, ok := b.pools[addr]
 	if !ok {
-		return nil, false
+		return amm.Pool{}, false
 	}
-	return p.Clone(), true
+	return *p, true
 }
 
 // Pools returns snapshots of all pools, sorted by address for determinism.
@@ -189,17 +275,18 @@ func (b *Bank) Pools() []*amm.Pool {
 // --- journaled writes -----------------------------------------------------
 
 type lamportUndo struct {
-	key solana.Pubkey
-	old solana.Lamports
+	acct *account
+	old  solana.Lamports
 }
 
 type tokenUndo struct {
-	key TokenKey
-	old uint64
+	acct *account
+	mint int32
+	old  uint64
 }
 
 type poolUndo struct {
-	key        solana.Pubkey
+	pool       *amm.Pool
 	oldA, oldB uint64
 }
 
@@ -246,16 +333,15 @@ func (b *Bank) Rollback() {
 		panic("ledger: Rollback without Checkpoint")
 	}
 	for i := len(j.lamports) - 1; i >= 0; i-- {
-		b.lamports[j.lamports[i].key] = j.lamports[i].old
+		j.lamports[i].acct.lamports = j.lamports[i].old
 	}
 	for i := len(j.tokens) - 1; i >= 0; i-- {
-		b.tokens[j.tokens[i].key] = j.tokens[i].old
+		u := &j.tokens[i]
+		u.acct.tokens[u.mint] = u.old
 	}
 	for i := len(j.pools) - 1; i >= 0; i-- {
-		if p, ok := b.pools[j.pools[i].key]; ok {
-			p.ReserveA = j.pools[i].oldA
-			p.ReserveB = j.pools[i].oldB
-		}
+		u := &j.pools[i]
+		u.pool.ReserveA, u.pool.ReserveB = u.oldA, u.oldB
 	}
 	b.closeJournal(j)
 }
@@ -267,29 +353,37 @@ func (b *Bank) closeJournal(j *journal) {
 	b.freeJournals = append(b.freeJournals, j)
 }
 
-func (b *Bank) setLamports(k solana.Pubkey, v solana.Lamports) {
+func (b *Bank) setLamports(a *account, v solana.Lamports) {
 	if b.journal != nil {
-		b.journal.lamports = append(b.journal.lamports, lamportUndo{k, b.lamports[k]})
+		b.journal.lamports = append(b.journal.lamports, lamportUndo{a, a.lamports})
 	}
 	if b.tracker != nil {
-		b.tracker.touchLamports(b, k)
+		b.tracker.touchLamports(a)
 	}
-	b.lamports[k] = v
+	a.lamports = v
 }
 
-func (b *Bank) setToken(k TokenKey, v uint64) {
+func (b *Bank) setToken(a *account, m int32, v uint64) {
+	if int(m) >= len(a.tokens) {
+		// Cells past len are zero: an account's tokens never shrink.
+		n := int(m) + 1
+		if n > cap(a.tokens) {
+			a.tokens = append(a.tokens[:cap(a.tokens)], make([]uint64, max(n, len(b.mintKeys))-cap(a.tokens))...)
+		}
+		a.tokens = a.tokens[:n]
+	}
 	if b.journal != nil {
-		b.journal.tokens = append(b.journal.tokens, tokenUndo{k, b.tokens[k]})
+		b.journal.tokens = append(b.journal.tokens, tokenUndo{a, m, a.tokens[m]})
 	}
 	if b.tracker != nil {
-		b.tracker.touchToken(b, k)
+		b.tracker.touchToken(a, m)
 	}
-	b.tokens[k] = v
+	a.tokens[m] = v
 }
 
 // poolWrite journals a pool's reserves before mutation.
 func (b *Bank) poolWrite(p *amm.Pool) {
 	if b.journal != nil {
-		b.journal.pools = append(b.journal.pools, poolUndo{p.Address, p.ReserveA, p.ReserveB})
+		b.journal.pools = append(b.journal.pools, poolUndo{p, p.ReserveA, p.ReserveB})
 	}
 }

@@ -267,9 +267,9 @@ func TestNestedCheckpoints(t *testing.T) {
 	b.CreditLamports(a, 100)
 
 	b.Checkpoint()
-	b.setLamports(a, 200)
+	b.setLamports(b.account(a), 200)
 	b.Checkpoint()
-	b.setLamports(a, 300)
+	b.setLamports(b.account(a), 300)
 	b.Rollback() // inner
 	if b.Lamports(a) != 200 {
 		t.Fatalf("after inner rollback: %d", b.Lamports(a))
@@ -287,7 +287,7 @@ func TestCommitMergesIntoParent(t *testing.T) {
 
 	b.Checkpoint()
 	b.Checkpoint()
-	b.setLamports(a, 300)
+	b.setLamports(b.account(a), 300)
 	b.Commit() // inner commit: undo info must survive in parent
 	b.Rollback()
 	if b.Lamports(a) != 100 {
@@ -306,7 +306,7 @@ func TestSandwichThroughBankMatchesPlan(t *testing.T) {
 	minOut := quote * 9_500 / 10_000
 
 	snap, _ := f.bank.PoolSnapshot(f.pool.Address)
-	plan, ok := amm.PlanSandwich(snap, token.SOL.Address, victimIn, minOut, 80_000_000_000)
+	plan, ok := amm.PlanSandwich(&snap, token.SOL.Address, victimIn, minOut, 80_000_000_000)
 	if !ok {
 		t.Fatal("no plan")
 	}

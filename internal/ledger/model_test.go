@@ -22,19 +22,27 @@ type model struct {
 	reserves map[solana.Pubkey][2]uint64
 }
 
+// flatState flattens the bank's state into plain maps: lamports by
+// account, token balances by (owner, mint) and pools by address. Tests
+// read the bank through it, whatever its layout; touched balances that
+// fell back to zero may appear as zero entries.
+func (b *Bank) flatState() (map[solana.Pubkey]solana.Lamports, map[TokenKey]uint64, map[solana.Pubkey]*amm.Pool) {
+	lamports := make(map[solana.Pubkey]solana.Lamports, len(b.accounts))
+	tokens := make(map[TokenKey]uint64)
+	for k, a := range b.accounts {
+		lamports[k] = a.lamports
+		for m, v := range a.tokens {
+			tokens[TokenKey{Owner: k, Mint: b.mintKeys[m]}] = v
+		}
+	}
+	return lamports, tokens, b.pools
+}
+
 func snapshotModel(b *Bank) *model {
-	m := &model{
-		lamports: make(map[solana.Pubkey]solana.Lamports),
-		tokens:   make(map[TokenKey]uint64),
-		reserves: make(map[solana.Pubkey][2]uint64),
-	}
-	for k, v := range b.lamports {
-		m.lamports[k] = v
-	}
-	for k, v := range b.tokens {
-		m.tokens[k] = v
-	}
-	for k, p := range b.pools {
+	m := &model{reserves: make(map[solana.Pubkey][2]uint64)}
+	var pools map[solana.Pubkey]*amm.Pool
+	m.lamports, m.tokens, pools = b.flatState()
+	for k, p := range pools {
 		m.reserves[k] = [2]uint64{p.ReserveA, p.ReserveB}
 	}
 	return m
@@ -42,95 +50,113 @@ func snapshotModel(b *Bank) *model {
 
 func (m *model) equalTo(t *testing.T, b *Bank, step int) {
 	t.Helper()
+	lamports, tokens, pools := b.flatState()
 	for k, v := range m.lamports {
-		if b.lamports[k] != v {
-			t.Fatalf("step %d: lamports[%s] = %d, model %d", step, k.Short(), b.lamports[k], v)
+		if lamports[k] != v {
+			t.Fatalf("step %d: lamports[%s] = %d, model %d", step, k.Short(), lamports[k], v)
 		}
 	}
-	for k, v := range b.lamports {
+	for k, v := range lamports {
 		if m.lamports[k] != v {
 			t.Fatalf("step %d: bank has extra lamports[%s] = %d", step, k.Short(), v)
 		}
 	}
 	for k, v := range m.tokens {
-		if b.tokens[k] != v {
+		if tokens[k] != v {
 			t.Fatalf("step %d: tokens mismatch", step)
 		}
 	}
-	for k, v := range b.tokens {
+	for k, v := range tokens {
 		if m.tokens[k] != v {
 			t.Fatalf("step %d: bank has extra token balance %d", step, v)
 		}
 	}
 	for k, r := range m.reserves {
-		p := b.pools[k]
+		p := pools[k]
 		if p.ReserveA != r[0] || p.ReserveB != r[1] {
 			t.Fatalf("step %d: pool reserves mismatch", step)
 		}
 	}
 }
 
-func TestBankAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	bank := NewBank()
+// modelWorld is a small random world: four users holding lamports, wSOL
+// and two memecoins, each memecoin's pool against wSOL, and a tip
+// account. tx draws a random transaction from it.
+type modelWorld struct {
+	bank  *Bank
+	rng   *rand.Rand
+	users []*solana.Keypair
+	pools []*amm.Pool
+	tip   solana.Pubkey
+	nonce uint64
+}
+
+func newModelWorld(seed int64) *modelWorld {
+	w := &modelWorld{
+		bank:  NewBank(),
+		rng:   rand.New(rand.NewSource(seed)),
+		users: make([]*solana.Keypair, 4),
+		pools: make([]*amm.Pool, 2),
+		tip:   solana.NewKeypairFromSeed("model/tip").Pubkey(),
+	}
 	reg := token.NewRegistry()
-
-	// Small world: 4 users, 2 pools.
-	users := make([]*solana.Keypair, 4)
-	for i := range users {
-		users[i] = solana.NewKeypairFromSeed(fmt.Sprintf("model/u%d", i))
-		bank.CreditLamports(users[i].Pubkey(), 10*solana.LamportsPerSOL)
-		bank.MintTo(users[i].Pubkey(), token.SOL.Address, 1e12)
+	for i := range w.users {
+		w.users[i] = solana.NewKeypairFromSeed(fmt.Sprintf("model/u%d", i))
+		w.bank.CreditLamports(w.users[i].Pubkey(), 10*solana.LamportsPerSOL)
+		w.bank.MintTo(w.users[i].Pubkey(), token.SOL.Address, 1e12)
 	}
-	pools := make([]*amm.Pool, 2)
-	for i := range pools {
+	for i := range w.pools {
 		m := reg.NewMemecoin(fmt.Sprintf("M%d", i))
-		pools[i] = amm.New(m.Address, token.SOL.Address, 1e11, 1e11, amm.DefaultFeeBps)
-		bank.AddPool(pools[i])
-		for _, u := range users {
-			bank.MintTo(u.Pubkey(), m.Address, 1e11)
+		w.pools[i] = amm.New(m.Address, token.SOL.Address, 1e11, 1e11, amm.DefaultFeeBps)
+		w.bank.AddPool(w.pools[i])
+		for _, u := range w.users {
+			w.bank.MintTo(u.Pubkey(), m.Address, 1e11)
 		}
 	}
-	tipAcct := solana.NewKeypairFromSeed("model/tip").Pubkey()
+	return w
+}
 
-	ref := snapshotModel(bank)
-	nonce := uint64(0)
-
-	randomTx := func() *solana.Transaction {
-		nonce++
-		u := users[rng.Intn(len(users))]
-		var instrs []solana.Instruction
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			switch rng.Intn(4) {
-			case 0: // transfer, sometimes unaffordable
-				amt := solana.Lamports(rng.Intn(3) * 2_000_000_000)
-				if amt == 0 {
-					amt = 1_000
-				}
-				instrs = append(instrs, &solana.Transfer{
-					From: u.Pubkey(), To: users[rng.Intn(len(users))].Pubkey(), Amount: amt})
-			case 1: // swap, sometimes with an impossible MinOut
-				p := pools[rng.Intn(len(pools))]
-				mint := p.MintA
-				if rng.Intn(2) == 0 {
-					mint = p.MintB
-				}
-				sw := &solana.Swap{Pool: p.Address, InputMint: mint,
-					AmountIn: uint64(rng.Intn(1_000_000) + 1)}
-				if rng.Intn(4) == 0 {
-					sw.MinOut = 1 << 60
-				}
-				instrs = append(instrs, sw)
-			case 2:
-				instrs = append(instrs, &solana.Tip{TipAccount: tipAcct,
-					Amount: solana.Lamports(rng.Intn(10_000) + 1)})
-			default:
-				instrs = append(instrs, &solana.Memo{Data: []byte{byte(rng.Intn(256))}})
+func (w *modelWorld) tx() *solana.Transaction {
+	rng := w.rng
+	w.nonce++
+	u := w.users[rng.Intn(len(w.users))]
+	var instrs []solana.Instruction
+	n := 1 + rng.Intn(3)
+	for i := 0; i < n; i++ {
+		switch rng.Intn(4) {
+		case 0: // transfer, sometimes unaffordable
+			amt := solana.Lamports(rng.Intn(3) * 2_000_000_000)
+			if amt == 0 {
+				amt = 1_000
 			}
+			instrs = append(instrs, &solana.Transfer{
+				From: u.Pubkey(), To: w.users[rng.Intn(len(w.users))].Pubkey(), Amount: amt})
+		case 1: // swap, sometimes with an impossible MinOut
+			p := w.pools[rng.Intn(len(w.pools))]
+			mint := p.MintA
+			if rng.Intn(2) == 0 {
+				mint = p.MintB
+			}
+			sw := &solana.Swap{Pool: p.Address, InputMint: mint,
+				AmountIn: uint64(rng.Intn(1_000_000) + 1)}
+			if rng.Intn(4) == 0 {
+				sw.MinOut = 1 << 60
+			}
+			instrs = append(instrs, sw)
+		case 2:
+			instrs = append(instrs, &solana.Tip{TipAccount: w.tip,
+				Amount: solana.Lamports(rng.Intn(10_000) + 1)})
+		default:
+			instrs = append(instrs, &solana.Memo{Data: []byte{byte(rng.Intn(256))}})
 		}
-		return solana.NewTransaction(u, nonce, solana.Lamports(rng.Intn(1_000)), instrs...)
 	}
+	return solana.NewTransaction(u, w.nonce, solana.Lamports(rng.Intn(1_000)), instrs...)
+}
+
+func TestBankAgainstModel(t *testing.T) {
+	w := newModelWorld(99)
+	bank, rng, randomTx := w.bank, w.rng, w.tx
+	ref := snapshotModel(bank)
 
 	const steps = 800
 	for step := 0; step < steps; step++ {
@@ -176,7 +202,8 @@ func TestBundleRollbackConservation(t *testing.T) {
 
 	total := func() solana.Lamports {
 		var sum solana.Lamports
-		for _, v := range bank.lamports {
+		lamports, _, _ := bank.flatState()
+		for _, v := range lamports {
 			sum += v
 		}
 		return sum

@@ -122,7 +122,7 @@ func (s *Sandwicher) Scan(mp *mempool.Pool, bank *ledger.Bank, engine *jito.Bloc
 		if !ok {
 			continue
 		}
-		plan, ok := amm.PlanSandwich(pool, sw.InputMint, sw.AmountIn, sw.MinOut, s.Budget)
+		plan, ok := amm.PlanSandwich(&pool, sw.InputMint, sw.AmountIn, sw.MinOut, s.Budget)
 		if !ok {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/solana"
@@ -218,6 +219,10 @@ func TestWarmScanAllocsPerShard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
+	// One P from the warm-up on: an item a sync.Pool holds privately for
+	// another P cannot be reached from this one, so warming on two Ps and
+	// measuring on one could count buffers the warm-up already made.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := alignedSnapshot(63, 3*bundleShardSize+17, 7, 0.9)
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
@@ -243,7 +248,16 @@ func TestWarmScanAllocsPerShard(t *testing.T) {
 	}
 	scan()
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Goroutines an earlier test left stopping may still allocate: wait
+	// until their count stops falling before reading MemStats.
+	settled := runtime.NumGoroutine()
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		settled = min(settled, runtime.NumGoroutine())
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > settled && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -131,8 +131,11 @@ func TestScanStopsAfterError(t *testing.T) {
 		for _, failIn := range []string{"fold", "Map"} {
 			var maps atomic.Int64
 			folds := 0
-			opts := ScanOptions{Workers: workers, Map: func(Section, ShardMeta, *Batch) (any, error) {
-				if maps.Add(1) == 1 && failIn == "Map" {
+			// The failing Map is shard 0's (records 0 and 1), whichever
+			// worker reaches it first, so no shard can fold before it.
+			opts := ScanOptions{Workers: workers, Map: func(_ Section, _ ShardMeta, b *Batch) (any, error) {
+				maps.Add(1)
+				if failIn == "Map" && len(b.Recs) > 0 && b.Recs[0].Seq == 0 {
 					return nil, boom
 				}
 				return nil, nil

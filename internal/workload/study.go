@@ -321,12 +321,11 @@ func (s *Study) victimEvent(slot solana.Slot, ds *DayStats) {
 	kp := u.randomTrader()
 	// 28% of the paper's detected sandwiches had no SOL leg (§4.1):
 	// route that share of attackable victims to meme↔meme cross pools.
-	var pool *amm.Pool
+	var pool amm.Pool
 	if len(u.crossPools) > 0 && u.rng.Float64() < 0.28 {
 		pool = u.randomCrossPool()
 	} else {
-		live, _ := u.bank.PoolSnapshot(u.pools[u.rng.Intn(len(u.pools))].Address)
-		pool = live
+		pool, _ = u.bank.PoolSnapshot(u.pools[u.rng.Intn(len(u.pools))].Address)
 	}
 	sell := u.rng.Float64() < 0.3
 	size := uint64(u.lognormal(s.P.VictimMedianSOL*1e9, s.P.VictimSigma))

@@ -148,7 +148,7 @@ func (u *universe) randomTrader() *solana.Keypair {
 
 // randomPool picks a SOL-quoted pool (the bulk of trading volume), with a
 // small share of cross-pool traffic mixed in.
-func (u *universe) randomPool() *amm.Pool {
+func (u *universe) randomPool() amm.Pool {
 	if len(u.crossPools) > 0 && u.rng.Float64() < 0.1 {
 		return u.randomCrossPool()
 	}
@@ -157,7 +157,7 @@ func (u *universe) randomPool() *amm.Pool {
 }
 
 // randomCrossPool picks a meme↔meme pool.
-func (u *universe) randomCrossPool() *amm.Pool {
+func (u *universe) randomCrossPool() amm.Pool {
 	live, _ := u.bank.PoolSnapshot(u.crossPools[u.rng.Intn(len(u.crossPools))].Address)
 	return live
 }
@@ -235,7 +235,7 @@ func (u *universe) tradeSOLAmount() uint64 {
 // chooses the input side: false sells the quote side (MintB), true sells
 // the base side (MintA). slippageBps > 0 adds a MinOut floor that many
 // basis points below the current quote.
-func (u *universe) swapInstr(pool *amm.Pool, solValue uint64, sell bool, slippageBps uint64) *solana.Swap {
+func (u *universe) swapInstr(pool amm.Pool, solValue uint64, sell bool, slippageBps uint64) *solana.Swap {
 	sw := &solana.Swap{Pool: pool.Address}
 	if sell {
 		sw.InputMint = pool.MintA
@@ -262,7 +262,7 @@ func (u *universe) swapInstr(pool *amm.Pool, solValue uint64, sell bool, slippag
 }
 
 // userSwapTx builds a signed swap transaction for a trader.
-func (u *universe) userSwapTx(kp *solana.Keypair, pool *amm.Pool, solValue uint64, sell bool, slippageBps uint64, tip solana.Lamports) *solana.Transaction {
+func (u *universe) userSwapTx(kp *solana.Keypair, pool amm.Pool, solValue uint64, sell bool, slippageBps uint64, tip solana.Lamports) *solana.Transaction {
 	instrs := []solana.Instruction{u.swapInstr(pool, solValue, sell, slippageBps)}
 	if tip > 0 {
 		instrs = append(instrs, &solana.Tip{TipAccount: u.randomTipAccount(), Amount: tip})
@@ -289,7 +289,7 @@ func (u *universe) routedSwapTx(kp *solana.Keypair, solValue uint64, slippageBps
 	if !ok1 || !ok2 {
 		return nil
 	}
-	rt := router.New([]*amm.Pool{p1, p2})
+	rt := router.New([]*amm.Pool{&p1, &p2})
 	inMint := p1.MintA
 	price := u.priceLamports[inMint]
 	if price <= 0 {
