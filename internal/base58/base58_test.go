@@ -118,7 +118,7 @@ func BenchmarkDecode32(b *testing.B) {
 	}
 }
 
-// fixedInputs returns 32- and 64-byte inputs that stress the wide-limb
+// fixedInputs returns 32- and 64-byte inputs that stress the fixed-width
 // path: random values, leading zero runs of every length, all-zero and
 // all-0xff.
 func fixedInputs(rng *rand.Rand) [][]byte {
@@ -225,8 +225,12 @@ func FuzzBase58Fixed(f *testing.F) {
 		for _, n := range []int{32, 64} {
 			b := make([]byte, n)
 			copy(b, raw)
-			if got, want := string(AppendEncode(nil, b)), string(appendGeneric(nil, b)); got != want {
+			want := string(appendGeneric(nil, b))
+			if got := string(AppendEncode(nil, b)); got != want {
 				t.Fatalf("encode %x: fixed %q, generic %q", b, got, want)
+			}
+			if got := string(AppendEncode([]byte("dst:"), b)); got != "dst:"+want {
+				t.Fatalf("encode %x into a non-empty dst: %q, want %q", b, got, "dst:"+want)
 			}
 			fixed, generic := make([]byte, n), make([]byte, n)
 			ok := decodeFixed(fixed, s)
@@ -237,8 +241,96 @@ func FuzzBase58Fixed(f *testing.F) {
 			if ok && !bytes.Equal(fixed, generic) {
 				t.Fatalf("decode width %d %q: fixed %x, generic %x", n, s, fixed, generic)
 			}
+			viaBytes := make([]byte, n)
+			if got := DecodeBytesInto(viaBytes, []byte(s)); fmt.Sprint(got) != fmt.Sprint(err) || !bytes.Equal(viaBytes, generic) {
+				t.Fatalf("DecodeBytesInto width %d %q: %x, %v; want %x, %v", n, s, viaBytes, got, generic, err)
+			}
 		}
 	})
+}
+
+// TestFixedEdgeCases checks named boundary inputs against the generic
+// reference: encodes of all-zero, all-0xff and leading-zero inputs, and
+// decodes that must be rejected (with the generic path's error text)
+// or accepted.
+func TestFixedEdgeCases(t *testing.T) {
+	for _, n := range []int{32, 64} {
+		maxChars := map[int]int{32: maxChars32, 64: maxChars64}[n]
+		encs := map[string][]byte{
+			"zero":     make([]byte, n),
+			"all 0xff": bytes.Repeat([]byte{0xff}, n),
+		}
+		for z := 1; z <= n; z++ {
+			b := bytes.Repeat([]byte{0xff}, n)
+			clear(b[:z])
+			encs[fmt.Sprintf("%d leading zero bytes then 0xff", z)] = b
+			b = make([]byte, n)
+			if z < n {
+				b[z] = 1
+			}
+			encs[fmt.Sprintf("%d leading zero bytes then 0x01", z)] = b
+		}
+		for name, b := range encs {
+			want := string(appendGeneric(nil, b))
+			if got := string(AppendEncode(nil, b)); got != want {
+				t.Errorf("width %d %s: encode %q, want %q", n, name, got, want)
+			}
+		}
+
+		over := make([]byte, n+1) // 2^(8n): the smallest value that does not fit
+		over[0] = 1
+		smallestOver := string(appendGeneric(nil, over))
+		if len(smallestOver) != maxChars {
+			t.Fatalf("width %d: 2^%d encodes to %d characters, want %d", n, 8*n, len(smallestOver), maxChars)
+		}
+		largest := Encode(bytes.Repeat([]byte{0xff}, n))
+		withZeros := Encode(append([]byte{0, 0, 0}, bytes.Repeat([]byte{0x42}, n-3)...))
+		rejects := map[string]string{
+			"smallest overflowing":            smallestOver,
+			"over-long":                       strings.Repeat("2", maxChars+1),
+			"over-long after '1's":            "11" + strings.Repeat("2", maxChars+1),
+			"far over-long":                   strings.Repeat("z", 4*maxChars),
+			"too many leading '1's":           "1" + withZeros,
+			"too few leading '1's":            withZeros[1:],
+			"only '1's, one too many":         strings.Repeat("1", n+1),
+			"only '1's, one too few":          strings.Repeat("1", n-1),
+			"largest with an extra leading 1": "1" + largest,
+			"empty":                           "",
+		}
+		for _, base := range []string{largest, withZeros, smallestOver} {
+			for i := range base {
+				for _, bad := range []string{"0", "O", "I", "l", "\x80", "\xff", "é"} {
+					rejects[fmt.Sprintf("%q at %d of %q", bad, i, base)] = base[:i] + bad + base[i+1:]
+				}
+			}
+		}
+		for name, s := range rejects {
+			want := decodeIntoGeneric(make([]byte, n), s)
+			if want == nil {
+				t.Fatalf("width %d %s: the generic path accepts %q", n, name, s)
+			}
+			dst := make([]byte, n)
+			if decodeFixed(dst, s) {
+				t.Errorf("width %d %s: fixed path accepts %q", n, name, s)
+			}
+			if err := DecodeInto(dst, s); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("width %d %s: DecodeInto error %v, want %v", n, name, err, want)
+			}
+			if err := DecodeBytesInto(dst, []byte(s)); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("width %d %s: DecodeBytesInto error %v, want %v", n, name, err, want)
+			}
+			if !bytes.Equal(dst, make([]byte, n)) {
+				t.Errorf("width %d %s: a rejected decode wrote dst", n, name)
+			}
+		}
+		for name, b := range encs {
+			s := Encode(b)
+			dst := make([]byte, n)
+			if !decodeFixed(dst, s) || !bytes.Equal(dst, b) {
+				t.Errorf("width %d %s: fixed decode of %q = %x", n, name, s, dst)
+			}
+		}
+	}
 }
 
 func BenchmarkEncode64(b *testing.B) {

@@ -5,6 +5,8 @@ package collector
 // allocation budget of one steady-state poll.
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"io"
@@ -12,6 +14,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,6 +187,55 @@ func TestHTTPTraceparentUnbound(t *testing.T) {
 		}
 		if len(seen) != 2 || seen[0] == "" || seen[1] != "" {
 			t.Fatalf("%s: traceparent headers %q, want one bound then none", m.name, seen)
+		}
+	}
+}
+
+// TestHTTPNoCompression: the collector's GET and POST requests ask for
+// no compression, and a response sent gzipped anyway is not inflated: it
+// fails decode and is classified as corrupt, like any other non-JSON
+// body, for each of the three methods.
+func TestHTTPNoCompression(t *testing.T) {
+	store := seededStore(10, 3)
+	healthy := explorer.NewServer(store, 0)
+	var mu sync.Mutex
+	var seen []string // "METHOD Accept-Encoding" per request
+	var gzipped atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+strings.Join(r.Header.Values("Accept-Encoding"), ","))
+		mu.Unlock()
+		if !gzipped.Load() {
+			healthy.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		healthy.ServeHTTP(rec, r)
+		var body bytes.Buffer
+		zw := gzip.NewWriter(&body)
+		zw.Write(rec.Body.Bytes())
+		zw.Close()
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Write(body.Bytes())
+	}))
+	defer srv.Close()
+
+	tr := NewHTTP(srv.URL)
+	for _, m := range transportMethods {
+		if n, err := m.call(tr); err != nil || n != m.want {
+			t.Fatalf("%s: %d, %v; want %d", m.name, n, err, m.want)
+		}
+	}
+	if want := []string{"GET ", "GET ", "POST "}; strings.Join(seen, "|") != strings.Join(want, "|") {
+		t.Fatalf("requests %q, want %q: no Accept-Encoding", seen, want)
+	}
+
+	gzipped.Store(true)
+	for _, m := range transportMethods {
+		_, err := m.call(tr)
+		if got := faults.Classify(err); got != faults.ClassCorrupt {
+			t.Errorf("%s: gzipped body gave %v (class %v), want %v", m.name, err, got, faults.ClassCorrupt)
 		}
 	}
 }

@@ -169,12 +169,25 @@ type endpointObs struct {
 	seconds    *obs.Histogram
 }
 
+// noCompression returns the one http.Transport, and so the one
+// connection pool, that every NewHTTP client shares: a clone of
+// http.DefaultTransport that does not negotiate compression. The
+// explorer never compresses, so asking for gzip would only cost each
+// request an Accept-Encoding header and each response a gzip check; and
+// a body sent with Content-Encoding: gzip anyway stays as sent, to fail
+// decode like any other non-JSON body.
+var noCompression = sync.OnceValue(func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DisableCompression = true
+	return t
+})
+
 // NewHTTP returns an HTTP transport with sane defaults and a private
-// registry.
+// registry. Its client does not negotiate compression.
 func NewHTTP(baseURL string) *HTTP {
 	h := &HTTP{
 		BaseURL:    baseURL,
-		Client:     &http.Client{},
+		Client:     &http.Client{Transport: noCompression()},
 		MaxRetries: 3,
 		Backoff:    50 * time.Millisecond,
 	}

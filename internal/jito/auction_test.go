@@ -100,3 +100,31 @@ func TestPendingBundlesCarryAcrossSlots(t *testing.T) {
 		t.Fatalf("seq should be 2, got %+v", acc[0].Record.Seq)
 	}
 }
+
+// TestProcessSlotKeepsQueueArray: a slot that runs the whole queue keeps
+// the queue's backing array for the next slot's Submits and drops its
+// references to the processed bundles.
+func TestProcessSlotKeepsQueueArray(t *testing.T) {
+	f := newFixture(t)
+	f.engine.Submit(NewBundle(f.swapTx(f.alice, 1, 1e6, 1_000)))
+	f.engine.Submit(NewBundle(f.swapTx(f.alice, 2, 1e6, 2_000)))
+	if got := f.engine.ProcessSlot(1); len(got) != 2 {
+		t.Fatalf("landed %d bundles, want 2", len(got))
+	}
+	if n := f.engine.PendingCount(); n != 0 {
+		t.Fatalf("%d bundles still pending", n)
+	}
+	queue := f.engine.pending[:cap(f.engine.pending)]
+	if len(queue) < 2 {
+		t.Fatalf("the queue kept %d entries of backing array, want 2", len(queue))
+	}
+	for i, pb := range queue {
+		if pb.bundle != nil {
+			t.Fatalf("processed entry %d still holds its bundle", i)
+		}
+	}
+	f.engine.Submit(NewBundle(f.swapTx(f.alice, 3, 1e6, 1_000)))
+	if &f.engine.pending[0] != &queue[0] {
+		t.Error("the next slot's first Submit allocated a new queue")
+	}
+}

@@ -123,11 +123,10 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 		return cmp.Compare(b.tip, a.tip)
 	})
 	batch := e.pending
-	if e.MaxBundlesPerSlot > 0 && len(batch) > e.MaxBundlesPerSlot {
+	carry := e.MaxBundlesPerSlot > 0 && len(batch) > e.MaxBundlesPerSlot
+	if carry {
 		batch = batch[:e.MaxBundlesPerSlot]
 		e.pending = e.pending[e.MaxBundlesPerSlot:]
-	} else {
-		e.pending = nil
 	}
 
 	accepted := make([]*Accepted, 0, len(batch))
@@ -162,6 +161,12 @@ func (e *BlockEngine) ProcessSlot(slot solana.Slot) []*Accepted {
 		e.Stats.ByLength[b.Len()]++
 		e.Stats.TipsPaid += pb.tip
 		e.Stats.TxsLanded += uint64(len(b.Txs))
+	}
+	if !carry {
+		// The whole queue ran: keep its backing array for the next
+		// slot's Submits, without the processed bundles.
+		clear(batch)
+		e.pending = batch[:0]
 	}
 	return accepted
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"jitomev/internal/amm"
 	"jitomev/internal/solana"
@@ -258,18 +257,6 @@ func (b *Bank) PoolSnapshot(addr solana.Pubkey) (amm.Pool, bool) {
 		return amm.Pool{}, false
 	}
 	return *p, true
-}
-
-// Pools returns snapshots of all pools, sorted by address for determinism.
-func (b *Bank) Pools() []*amm.Pool {
-	out := make([]*amm.Pool, 0, len(b.pools))
-	for _, p := range b.pools {
-		out = append(out, p.Clone())
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Address.String() < out[j].Address.String()
-	})
-	return out
 }
 
 // --- journaled writes -----------------------------------------------------

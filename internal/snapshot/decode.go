@@ -145,10 +145,16 @@ func Read(r io.Reader, workers int) (*Snapshot, error) {
 	return read(r, workers, &snapObs{})
 }
 
+// readBufferSize sizes the bufio.Reader that Read and Scan wrap a plain
+// reader in. Headers and frame prefixes come through it; a frame body
+// is read whole with io.ReadFull, whose reads of this size or more go
+// around the buffer, so a larger one would only hold memory.
+const readBufferSize = 64 << 10
+
 func read(r io.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+		br = bufio.NewReaderSize(r, readBufferSize)
 	}
 	if err := readMagic(br); err != nil {
 		return nil, err

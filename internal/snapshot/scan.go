@@ -123,7 +123,7 @@ func Scan(r io.Reader, opts ScanOptions, prelude func(*Prelude) error, fold Scan
 	m := newSnapObs(opts.Reg, "scan")
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
+		br = bufio.NewReaderSize(r, readBufferSize)
 	}
 	if err := readMagic(br); err != nil {
 		return err
