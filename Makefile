@@ -42,13 +42,14 @@ race:
 
 # chaos is the resilience gate: every chaos-tagged test under the race
 # detector (fault taxonomy, wire-level middleware, worker-count
-# determinism, 10%-fault integrity), then a seeded end-to-end soak of
+# determinism, 10%-fault integrity, the collector's connection
+# lifecycle: keep-alive, redial, close and framings), then a seeded end-to-end soak of
 # the full pipeline under a 10% fault rate.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout' . ./internal/faults ./internal/collector
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout|Conn' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
 
-# fuzz runs each of the nine native fuzz targets briefly: the
+# fuzz runs each of the ten native fuzz targets briefly: the
 # fixed-width base58 paths against the generic reference, and the
 # explorer wire codec's decoders against encoding/json (accept/reject,
 # decoded values, fault class; a recent page or a detail request
@@ -65,13 +66,18 @@ chaos:
 # 200/400/404/409), and jito.DetailSet (arbitrary Put/Get/Len/iterate
 # sequences over repeated signatures, half of them with the hash
 # narrowed to four buckets so collision chains are long, against a plain
-# map).
+# map), and the collector's HTTP/1.1 response reader (arbitrary response
+# bytes against net/http's ReadResponse plus io.ReadAll: equal status
+# and body where both accept, alike fault classes where both refuse,
+# never a panic, memory within the header and body caps).
 # Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
 # cases and raw queries with semicolons, repeated keys, empty values and
 # valid and invalid escapes, a small snapshot with its truncations and a file holding one
 # signature twice, the traceparent round-trip cases, the /leasez request
-# bodies of the HTTP tests, and short DetailSet op sequences.
+# bodies of the HTTP tests, short DetailSet op sequences, and explorer
+# responses framed by Content-Length, chunked and EOF with their
+# ChaosHandler-style truncations and byte flips.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
@@ -82,6 +88,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzTraceparent$$' -fuzztime=10s -parallel=2 ./internal/obs
 	$(GO) test -run=NONE -fuzz='^FuzzLeasezOps$$' -fuzztime=10s -parallel=2 ./internal/fleet
 	$(GO) test -run=NONE -fuzz='^FuzzDetailSet$$' -fuzztime=10s -parallel=2 ./internal/jito
+	$(GO) test -run=NONE -fuzz='^FuzzReadResponse$$' -fuzztime=10s -parallel=2 ./internal/collector
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

@@ -75,7 +75,7 @@ import (
 
 func main() {
 	var (
-		url       = flag.String("url", "http://127.0.0.1:8899", "explorer API base URL")
+		url       = flag.String("url", "http://127.0.0.1:8899", "explorer API base URL (http:// only)")
 		polls     = flag.Int("polls", 30, "number of polls before finishing")
 		every     = flag.Duration("every", 2*time.Second, "wall time between polls")
 		page      = flag.Int("page", 500, "recent-bundles page size")

@@ -124,6 +124,66 @@ func TestRetryDelayCapAndJitter(t *testing.T) {
 	}
 }
 
+// TestHTTPRetryAfterClamped: a Retry-After delay is honoured up to
+// MaxBackoff however large it is — one past time.Duration's range
+// included — while NaN, negative and unparseable values count as absent
+// and leave the computed backoff.
+func TestHTTPRetryAfterClamped(t *testing.T) {
+	const maxBackoff = 80 * time.Millisecond
+	for _, tc := range []struct {
+		value   string
+		honored bool
+		want    time.Duration // the wait when honored
+	}{
+		{"0.02", true, 20 * time.Millisecond},
+		{"9000000000", true, maxBackoff},
+		{"1e10", true, maxBackoff},
+		{"10000000000", true, maxBackoff},
+		{"1e300", true, maxBackoff},
+		{"+Inf", true, maxBackoff},
+		{"NaN", false, 0},
+		{"-1", false, 0},
+		{"-Inf", false, 0},
+		{"soon", false, 0},
+	} {
+		t.Run(tc.value, func(t *testing.T) {
+			var hits atomic.Int64
+			store := seededStore(5, 1)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if hits.Add(1) == 1 {
+					w.Header().Set("Retry-After", tc.value)
+					http.Error(w, "throttled", http.StatusTooManyRequests)
+					return
+				}
+				explorer.NewServer(store, 0).ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			tr := NewHTTP(srv.URL)
+			defer tr.Close()
+			tr.Backoff = time.Millisecond
+			tr.MaxBackoff = maxBackoff
+			var waits []time.Duration
+			tr.sleep = func(_ context.Context, d time.Duration) error {
+				waits = append(waits, d)
+				return nil
+			}
+			if _, err := tr.RecentBundles(3); err != nil {
+				t.Fatal(err)
+			}
+			honored := tr.obsFor("recent").retryAfter.Value() == 1
+			if len(waits) != 1 || honored != tc.honored {
+				t.Fatalf("waits %v, honored %v; want one wait, honored %v", waits, honored, tc.honored)
+			}
+			switch {
+			case tc.honored && waits[0] != tc.want:
+				t.Errorf("waited %v, want %v", waits[0], tc.want)
+			case !tc.honored && waits[0] > 2*time.Millisecond:
+				t.Errorf("waited %v, want the ~1ms backoff", waits[0])
+			}
+		})
+	}
+}
+
 func TestHTTPBoundedBody(t *testing.T) {
 	store := seededStore(200, 1)
 	srv := httptest.NewServer(explorer.NewServer(store, 0))

@@ -1,7 +1,7 @@
 package collector
 
 // Round-trip tests for the HTTP transport's per-method slots: the
-// watchdog that bounds each attempt, the reused GET request, and the
+// deadline that bounds each attempt, the reused request buffers, and the
 // allocation budget of one steady-state poll.
 
 import (
@@ -38,7 +38,7 @@ func shortTimeout(t *testing.T, d time.Duration) {
 }
 
 // settled waits for the goroutine count to fall back to base: no
-// watchdog, connection or handler goroutine outlives the test.
+// connection or handler goroutine outlives the test.
 func settled(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -119,7 +119,7 @@ func TestHTTPTimeoutStalls(t *testing.T) {
 				}
 				close(release)
 				srv.Close()
-				tr.Client.CloseIdleConnections()
+				tr.Close()
 				settled(t, base)
 			})
 		}
@@ -151,7 +151,7 @@ func TestHTTPTimeoutCancelWins(t *testing.T) {
 	}
 	close(release)
 	srv.Close()
-	tr.Client.CloseIdleConnections()
+	tr.Close()
 	settled(t, base)
 }
 
@@ -316,8 +316,8 @@ func TestHTTPPollAllocs(t *testing.T) {
 		t.Skip("runs a benchmark")
 	}
 	res := testing.Benchmark(BenchmarkHTTPPoll)
-	if b, n := res.AllocedBytesPerOp(), res.AllocsPerOp(); b > 6_500 || n > 78 {
-		t.Fatalf("warm poll allocates %d B in %d allocs, budget 6,500 B in 78", b, n)
+	if b, n := res.AllocedBytesPerOp(), res.AllocsPerOp(); b > 3_140 || n > 27 {
+		t.Fatalf("warm poll allocates %d B in %d allocs, budget 3,140 B in 27", b, n)
 	}
 }
 

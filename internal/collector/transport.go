@@ -1,11 +1,11 @@
 package collector
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -23,8 +23,10 @@ import (
 //
 // A returned page is valid until the next call of the same method on the
 // same transport: an implementation may decode into storage it reuses
-// (HTTP does), and a caller copies whatever it keeps. Dataset.Ingest is
-// the one place collection keeps records, and it copies them.
+// (HTTP does, and drives one connection per method), and a caller copies
+// whatever it keeps. So each method serves one call at a time, while
+// different methods may run at once. Dataset.Ingest is the one place
+// collection keeps records, and it copies them.
 type Transport interface {
 	// RecentBundles returns up to limit of the most recent bundles,
 	// newest first.
@@ -84,13 +86,17 @@ var ErrCircuitOpen = errors.New("collector: circuit open")
 // exponential backoff and a per-endpoint circuit breaker. A four-month
 // collection rides on this loop, so every failure mode is bounded: retry
 // counts, backoff delays, response bytes, consecutive-failure streaks.
+//
+// It speaks HTTP/1.1 itself rather than through net/http's client: each
+// method's slot keeps one connection alive and drives it on the calling
+// goroutine (see conn), so a warm round trip's client side allocates
+// nothing beyond a traced call's traceparent string. Every attempt — dial, request, response headers and the whole
+// body — is bounded to 30 s by one connection deadline. Close drops the
+// connections.
 type HTTP struct {
+	// BaseURL is the explorer's http:// base URL; no other scheme is
+	// spoken.
 	BaseURL string
-	// Client sends every request. The transport bounds each attempt —
-	// connect, response headers and the whole body — to 30 s itself, so
-	// NewHTTP's client carries no Timeout; a Timeout set on a
-	// caller-supplied client still applies on top of that bound.
-	Client *http.Client
 
 	// Context, when non-nil, bounds every request and backoff sleep;
 	// cancelling it aborts in-flight collection promptly. nil means
@@ -133,11 +139,11 @@ type HTTP struct {
 	breakers map[string]*breaker
 	jitterN  uint64
 
-	// recentSlot, beforeSlot and detailSlot hold each method's reusable
-	// request state and the last page it decoded (see Transport and
-	// slot): one per method, because Collector.poll still holds the
-	// newest page while backfill pages backwards, and different methods
-	// may run at once.
+	// recentSlot, beforeSlot and detailSlot hold each method's
+	// connection, reusable request buffers and the last page it decoded
+	// (see Transport and slot): one per method, because Collector.poll
+	// still holds the newest page while backfill pages backwards, and
+	// different methods may run at once.
 	recentSlot, beforeSlot, detailSlot slot
 
 	// Every tally the transport keeps — request attempts, retries,
@@ -169,30 +175,27 @@ type endpointObs struct {
 	seconds    *obs.Histogram
 }
 
-// noCompression returns the one http.Transport, and so the one
-// connection pool, that every NewHTTP client shares: a clone of
-// http.DefaultTransport that does not negotiate compression. The
-// explorer never compresses, so asking for gzip would only cost each
-// request an Accept-Encoding header and each response a gzip check; and
-// a body sent with Content-Encoding: gzip anyway stays as sent, to fail
-// decode like any other non-JSON body.
-var noCompression = sync.OnceValue(func() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.DisableCompression = true
-	return t
-})
-
 // NewHTTP returns an HTTP transport with sane defaults and a private
-// registry. Its client does not negotiate compression.
+// registry. Its requests do not negotiate compression: a body sent with
+// Content-Encoding: gzip anyway stays as sent, to fail decode like any
+// other non-JSON body.
 func NewHTTP(baseURL string) *HTTP {
 	h := &HTTP{
 		BaseURL:    baseURL,
-		Client:     &http.Client{Transport: noCompression()},
 		MaxRetries: 3,
 		Backoff:    50 * time.Millisecond,
 	}
 	h.bindObs(obs.NewRegistry())
 	return h
+}
+
+// Close drops the transport's kept-alive connections and its hooks on
+// Context. Call it when no call is in flight; a later call dials afresh.
+func (h *HTTP) Close() {
+	for _, s := range []*slot{&h.recentSlot, &h.beforeSlot, &h.detailSlot} {
+		s.conn.close()
+		s.conn.unwatch()
+	}
 }
 
 // WithContext binds ctx to all subsequent requests and backoff waits.
@@ -389,24 +392,32 @@ func (h *HTTP) breakerFor(endpoint string) *breaker {
 
 // do runs one logical request of s with the full hardening loop:
 // breaker check, bounded retries with capped jittered backoff,
-// Retry-After honoring, 429/5xx/transport-error retry. Each attempt runs
-// under s's watchdog. The whole loop runs as one child span under the
-// bound trace — retries and backoff annotated, the traceparent sent as a
-// header — so a slow call's time is attributable from /tracez. On
-// success the caller owns resp.Body and s's armed watchdog, and hands
-// both to readBounded.
-func (h *HTTP) do(s *slot) (*http.Response, error) {
+// Retry-After honoring, 429/5xx/transport-error retry. Each attempt is
+// bounded by one deadline on s's connection. The whole loop runs as one
+// child span under the bound trace — retries and backoff annotated, the
+// traceparent sent as a header — so a slow call's time is attributable
+// from /tracez. On success the response head is in s.conn.resp and the
+// caller reads its body with readBounded.
+func (h *HTTP) do(s *slot) error {
 	ctx := h.ctx()
 	endpoint := s.endpoint
 	eo := h.obsFor(endpoint)
 	sp := h.boundTrace().StartChild(s.span)
-	tp := sp.Ctx().Traceparent()
 	started := time.Now()
-	finish := func(resp *http.Response, err error) (*http.Response, error) {
+	finish := func(err error) error {
 		eo.seconds.ObserveExemplar(time.Since(started).Seconds(), sp.TraceID())
 		sp.EndErr(err)
-		return resp, err
+		return err
 	}
+	if s.base != h.BaseURL || s.ep.addr == "" {
+		ep, err := resolveBase(h.BaseURL)
+		if err != nil {
+			return finish(err)
+		}
+		s.base, s.ep = h.BaseURL, ep
+		s.conn.close()
+	}
+	s.req = appendRequest(s.req[:0], s.method, &s.ep, s.path, s.query, sp.Ctx().Traceparent(), s.payload)
 	br := h.breakerFor(endpoint)
 	allowed, probe := br.allow(h.clock())
 	if probe {
@@ -417,7 +428,7 @@ func (h *HTTP) do(s *slot) (*http.Response, error) {
 		h.shorted.Inc()
 		sp.FlagKeep("breaker_open")
 		sp.Annotate("breaker:shorted")
-		return finish(nil, fmt.Errorf("collector: %s: %w", endpoint, ErrCircuitOpen))
+		return finish(fmt.Errorf("collector: %s: %w", endpoint, ErrCircuitOpen))
 	}
 	var lastErr error
 	for attempt := 0; attempt <= h.MaxRetries; attempt++ {
@@ -440,37 +451,34 @@ func (h *HTTP) do(s *slot) (*http.Response, error) {
 			break
 		}
 		eo.attempts.Inc()
-		resp, err := h.send(s, s.wd.arm(ctx), tp)
-		if err != nil {
-			s.wd.disarm()
-			// The client may still hold a failed request: build afresh.
-			s.req = nil
-			if s.wd.fired() {
+		if err := s.conn.roundTrip(ctx, s.ep.addr, s.req, time.Now().Add(requestTimeout)); err != nil {
+			if s.conn.timedOut(err) {
 				err = &faults.Error{Class: faults.ClassTimeout, Err: err}
 			}
 			lastErr = err
 			continue
 		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
+		head := &s.conn.resp.head
+		switch status := head.status; {
+		case status == http.StatusOK:
 			if br.success() {
 				h.breakerTo[breakerClosed].Inc()
 				sp.Annotate("breaker:closed")
 			}
-			return finish(resp, nil)
-		case resp.StatusCode == http.StatusTooManyRequests:
-			ra := parseRetryAfter(resp.Header, h.clock)
-			s.drain(resp)
-			lastErr = &faults.Error{Class: faults.ClassThrottle, Status: resp.StatusCode, RetryAfter: ra}
-		case resp.StatusCode >= 500:
-			ra := parseRetryAfter(resp.Header, h.clock)
-			s.drain(resp)
-			lastErr = &faults.Error{Class: faults.ClassServer, Status: resp.StatusCode, RetryAfter: ra}
+			return finish(nil)
+		case status == http.StatusTooManyRequests:
+			ra := parseRetryAfter(head, h.clock)
+			s.drain()
+			lastErr = &faults.Error{Class: faults.ClassThrottle, Status: status, RetryAfter: ra}
+		case status >= 500:
+			ra := parseRetryAfter(head, h.clock)
+			s.drain()
+			lastErr = &faults.Error{Class: faults.ClassServer, Status: status, RetryAfter: ra}
 		default:
 			// Other 4xx: our request is wrong; retrying cannot help and
 			// the server is healthy, so the breaker stays untouched.
-			s.drain(resp)
-			return finish(nil, fmt.Errorf("collector: %s: HTTP %d", endpoint, resp.StatusCode))
+			s.drain()
+			return finish(fmt.Errorf("collector: %s: HTTP %d", endpoint, status))
 		}
 	}
 	if br.failure(h.clock()) {
@@ -478,18 +486,23 @@ func (h *HTTP) do(s *slot) (*http.Response, error) {
 		sp.FlagKeep("breaker_open")
 		sp.Annotate("breaker:opened")
 	}
-	return finish(nil, fmt.Errorf("collector: %s: retries exhausted: %w", endpoint, lastErr))
+	return finish(fmt.Errorf("collector: %s: retries exhausted: %w", endpoint, lastErr))
 }
 
-// parseRetryAfter reads a Retry-After header: delay seconds (fractions
-// accepted) or an HTTP date. 0 means absent or unparseable.
-func parseRetryAfter(hdr http.Header, now func() time.Time) time.Duration {
-	v := hdr.Get("Retry-After")
-	if v == "" {
+// parseRetryAfter reads a response's Retry-After header: delay seconds
+// (fractions accepted) or an HTTP date. 0 means absent or unparseable,
+// NaN and negative delays included; a delay past time.Duration's range
+// reads as its largest value, for retryDelay to cap at MaxBackoff.
+func parseRetryAfter(head *respHead, now func() time.Time) time.Duration {
+	if !head.hasRetryAfter || len(head.retryAfter) == 0 {
 		return 0
 	}
+	v := string(head.retryAfter)
 	if secs, err := strconv.ParseFloat(v, 64); err == nil && secs >= 0 {
-		return time.Duration(secs * float64(time.Second))
+		if d := secs * float64(time.Second); d < 1<<63 {
+			return time.Duration(d)
+		}
+		return math.MaxInt64
 	}
 	if at, err := http.ParseTime(v); err == nil {
 		if d := at.Sub(now()); d > 0 {
@@ -518,11 +531,10 @@ func (h *HTTP) RecentBundlesBefore(beforeSeq uint64, limit int) ([]jito.BundleRe
 
 func (h *HTTP) recent(s *slot) ([]jito.BundleRecord, error) {
 	s.init("recent", "/api/v1/bundles/recent", http.MethodGet)
-	resp, err := h.do(s)
-	if err != nil {
+	if err := h.do(s); err != nil {
 		return nil, err
 	}
-	body, err := readBounded(h, s, resp, s.page.Read)
+	body, err := readBounded(h, s, s.page.Read)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding recent bundles: %w", err)
 	}
@@ -533,85 +545,78 @@ func (h *HTTP) recent(s *slot) ([]jito.BundleRecord, error) {
 func (h *HTTP) TxDetails(ids []solana.Signature) ([]jito.TxDetail, error) {
 	s := &h.detailSlot
 	s.init("details", "/api/v1/transactions", http.MethodPost)
-	// One allocation per call, sized for the longest signatures. The
-	// payload is not reused: the HTTP client may still be reading a
-	// request body after Do returns.
-	s.payload = explorer.AppendDetailRequest(make([]byte, 0, 16+len(ids)*(base58SigMax+3)), explorer.DetailRequest{IDs: ids})
-	resp, err := h.do(s)
-	s.payload = nil
-	if err != nil {
+	s.payload = explorer.AppendDetailRequest(s.payload[:0], explorer.DetailRequest{IDs: ids})
+	if err := h.do(s); err != nil {
 		return nil, err
 	}
-	body, err := readBounded(h, s, resp, explorer.ReadDetailResponse)
+	body, err := readBounded(h, s, explorer.ReadDetailResponse)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding tx details: %w", err)
 	}
 	return body.Transactions, nil
 }
 
-// base58SigMax is the longest base58 form of a 64-byte signature.
-const base58SigMax = 88
-
-// readBounded reads resp's JSON body whole, capped at MaxBody bytes so a
-// hostile or damaged payload cannot balloon memory and sized once from
-// its Content-Length, and decodes it with the explorer's wire codec
-// (encoding/json's verdict on anything non-canonical). It then closes
-// the body and ends the attempt's watchdog. A body cut by the cap (or by
+// readBounded reads the JSON body of s's response whole, capped at
+// MaxBody bytes so a hostile or damaged payload cannot balloon memory
+// and sized once from its Content-Length, and decodes it with the
+// explorer's wire codec (encoding/json's verdict on anything
+// non-canonical). It then releases the connection, which stays open
+// only when the body was read to its end. A body cut by the cap (or by
 // the wire) classifies as truncation; syntactically invalid bytes
-// classify as corruption; a body the watchdog cut short, as a timeout.
-// The body bytes read land on the endpoint's
+// classify as corruption; a body the attempt's deadline cut short, as a
+// timeout. The body bytes read land on the endpoint's
 // collector_http_response_bytes_total counter.
-func readBounded[T any](h *HTTP, s *slot, resp *http.Response, read func(io.Reader) (T, int, error)) (T, error) {
+func readBounded[T any](h *HTTP, s *slot, read func(io.Reader) (T, int, error)) (T, error) {
 	limit := h.maxBody()
-	s.limited = io.LimitedReader{R: resp.Body, N: limit}
-	s.body = explorer.SizedBody{R: &s.limited, Hint: resp.ContentLength, Limit: limit}
+	resp := &s.conn.resp
+	s.limited = io.LimitedReader{R: resp, N: limit}
+	s.body = explorer.SizedBody{R: &s.limited, Hint: resp.head.length, Limit: limit}
 	v, n, err := read(&s.body)
 	s.limited.R = nil
-	resp.Body.Close()
-	s.wd.disarm()
+	s.conn.release()
 	h.obsFor(s.endpoint).bytes.Add(uint64(n))
 	if err != nil {
 		class := faults.DecodeClass(err)
-		if s.wd.fired() {
-			class = faults.ClassTimeout
+		if resp.err != nil { // the connection failed mid-body
+			if s.conn.timedOut(resp.err) {
+				class = faults.ClassTimeout
+			} else if cerr := s.conn.ctx.Err(); cerr != nil {
+				err = cerr
+			}
 		}
 		return v, &faults.Error{Class: class, Err: err}
 	}
 	return v, nil
 }
 
-// requestTimeout bounds one attempt: connect, response headers and the
-// whole body. A variable so tests can shorten it.
+// requestTimeout bounds one attempt: connect, request, response headers
+// and the whole body. A variable so tests can shorten it.
 var requestTimeout = 30 * time.Second
 
-// slot is one transport method's reusable request state. A slot serves
-// one call at a time (the page rule of Transport); different methods'
-// slots may be in use at once. Every attempt runs under the slot's
-// watchdog. A GET slot also keeps one prebuilt request — URL parsed,
-// header map allocated — whose query and traceparent each call
-// rewrites, and the page buffer its method decodes into. The POST slot
-// builds a fresh request and body every attempt: the HTTP client may
-// still read a request body after Do returns.
+// slot is one transport method's connection and reusable request state.
+// A slot serves one call at a time (the page rule of Transport);
+// different methods' slots may be in use at once. Each call appends its
+// request — line, headers and any payload — into req, which every
+// attempt of the call sends as is; a GET slot also keeps the page
+// buffer its method decodes into.
 type slot struct {
 	endpoint string // the collector_http_* endpoint label
 	span     string // the child span's name
 	path     string // URL path under BaseURL
 	method   string
 
-	wd watchdog
+	conn conn
 
-	// base and url are BaseURL and the request URL built on it.
-	base, url string
-	// req is the GET slot's request, nil until built and after a failed
-	// attempt; query is the raw query the next attempt sends and tp the
-	// backing of its traceparent header value.
-	req   *http.Request
-	query []byte
-	tp    [1]string
-	page  explorer.PageBuffer
-
-	// payload is the POST slot's request body for the call in flight.
+	// base is the BaseURL ep was resolved from.
+	base string
+	ep   endpoint
+	// query is the next call's raw query, payload the POST slot's
+	// request body (nil in a GET slot), and req the whole request the
+	// attempts send.
+	query   []byte
 	payload []byte
+	req     []byte
+	page    explorer.PageBuffer
 
 	// limited and body wrap the response body being read.
 	limited io.LimitedReader
@@ -625,94 +630,12 @@ func (s *slot) init(endpoint, path, method string) {
 	}
 }
 
-// send issues one attempt of s's request under ctx, the attempt's
-// watchdog context.
-func (h *HTTP) send(s *slot, ctx context.Context, traceparent string) (*http.Response, error) {
-	if s.base != h.BaseURL || s.url == "" {
-		s.base, s.url, s.req = h.BaseURL, h.BaseURL+s.path, nil
-	}
-	if s.method == http.MethodPost {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url, bytes.NewReader(s.payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if traceparent != "" {
-			req.Header.Set("traceparent", traceparent)
-		}
-		return h.Client.Do(req)
-	}
-	if s.req == nil || s.req.Context() != ctx {
-		req, err := http.NewRequestWithContext(ctx, s.method, s.url, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.req = req
-	}
-	if string(s.query) != s.req.URL.RawQuery {
-		s.req.URL.RawQuery = string(s.query)
-	}
-	if traceparent == "" {
-		delete(s.req.Header, "Traceparent")
-	} else {
-		s.tp[0] = traceparent
-		s.req.Header["Traceparent"] = s.tp[:]
-	}
-	return h.Client.Do(s.req)
-}
-
-// drain discards a response body so the connection can be reused, and
-// ends the attempt's watchdog.
-func (s *slot) drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-	resp.Body.Close()
-	s.wd.disarm()
-}
-
-// watchdog bounds one attempt at a time to requestTimeout: a cancellable
-// child of the transport's context, and one timer that cancels it with a
-// context.DeadlineExceeded cause (which faults.Classify reads as a
-// timeout). Both are reused: arm resets the timer before each attempt,
-// disarm stops it once the attempt's body has been read. They are
-// rebuilt only after the timer fired, the parent context was cancelled
-// or replaced.
-type watchdog struct {
-	parent context.Context
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	timer  *time.Timer
-	armed  bool
-	spent  bool // the timer fired, or was firing, when last stopped
-}
-
-// arm starts the bound on one attempt under parent and returns the
-// attempt's context.
-func (w *watchdog) arm(parent context.Context) context.Context {
-	if w.ctx == nil || w.spent || w.parent != parent || w.ctx.Err() != nil {
-		if w.cancel != nil {
-			w.cancel(context.Canceled)
-		}
-		ctx, cancel := context.WithCancelCause(parent)
-		w.parent, w.ctx, w.cancel, w.spent = parent, ctx, cancel, false
-		w.timer = time.AfterFunc(requestTimeout, func() { cancel(context.DeadlineExceeded) })
-	} else {
-		w.timer.Reset(requestTimeout)
-	}
-	w.armed = true
-	return w.ctx
-}
-
-// disarm ends the bound on the current attempt.
-func (w *watchdog) disarm() {
-	if w.armed && !w.timer.Stop() {
-		w.spent = true
-	}
-	w.armed = false
-}
-
-// fired reports whether the timer cut the current attempt short.
-func (w *watchdog) fired() bool {
-	return w.ctx != nil && errors.Is(context.Cause(w.ctx), context.DeadlineExceeded)
+// drain discards up to 4 KiB of an unwanted response body, then
+// releases the connection, which stays open only when that reached the
+// body's end.
+func (s *slot) drain() {
+	s.conn.resp.discard(4 << 10)
+	s.conn.release()
 }
 
 // breaker is a per-endpoint circuit breaker: closed → open after

@@ -247,8 +247,12 @@ func Run(cfg Config) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		transport = collector.NewHTTP("http://" + addr).WithObs(reg)
-		shutdown = func() { _ = srv.Shutdown(context.Background()) }
+		client := collector.NewHTTP("http://" + addr).WithObs(reg)
+		transport = client
+		shutdown = func() {
+			client.Close()
+			_ = srv.Shutdown(context.Background())
+		}
 		defer shutdown()
 	} else if chaos != nil {
 		// In-process chaos: wrap the transport itself, adding the
