@@ -15,8 +15,9 @@ GO ?= go
 # the pool's detect workers vs. its ordered fold), and the
 # collection fleet (lease table hammered by concurrent replicas, TTL
 # expiry racing renewals, checkpoint posts fenced by epoch), and the SLO
-# engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).
-RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo
+# engine (Tick vs. /sloz State vs. HealthSource under worker fan-out), and
+# the detail set (concurrent readers of views while Put appends).
+RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo ./internal/jito
 
 .PHONY: verify build fmt test vet race bench bench-json bench-stream bench-latency chaos fuzz metrics-smoke fleet trace-smoke load-smoke
 
@@ -63,10 +64,11 @@ chaos:
 # write winning), and the W3C traceparent parser (an accepted header
 # carries exactly the IDs and sampled bit it decoded to), and the fleet
 # /leasez operations (arbitrary POST bodies: never a panic, only
-# 200/400/404/409), and jito.DetailSet (arbitrary Put/Get/Len/iterate
-# sequences over repeated signatures, half of them with the hash
-# narrowed to four buckets so collision chains are long, against a plain
-# map), and the collector's HTTP/1.1 response reader (arbitrary response
+# 200/400/404/409), and jito.DetailSet (arbitrary Put/Adopt/Get/Len/
+# iterate sequences over repeated signatures, adopted runs repeating
+# earlier signatures and their own at aligned and unaligned starts, half
+# of them with the hash narrowed to four buckets so collision chains are
+# long, against a plain map), and the collector's HTTP/1.1 response reader (arbitrary response
 # bytes against net/http's ReadResponse plus io.ReadAll: equal status
 # and body where both accept, alike fault classes where both refuse,
 # never a panic, memory within the header and body caps).
@@ -75,9 +77,9 @@ chaos:
 # cases and raw queries with semicolons, repeated keys, empty values and
 # valid and invalid escapes, a small snapshot with its truncations and a file holding one
 # signature twice, the traceparent round-trip cases, the /leasez request
-# bodies of the HTTP tests, short DetailSet op sequences, and explorer
-# responses framed by Content-Length, chunked and EOF with their
-# ChaosHandler-style truncations and byte flips.
+# bodies of the HTTP tests, short DetailSet op sequences (adopts among
+# them), and explorer responses framed by Content-Length, chunked and
+# EOF with their ChaosHandler-style truncations and byte flips.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -418,15 +420,14 @@ func TestSaveByteIdenticalAcrossWorkers(t *testing.T) {
 	datasetsEquivalent(t, d, loaded)
 }
 
-// TestLoadDatasetAllocsPerShardAndChunk pins the cost of loading details:
-// a full load of more than 20k details makes a few allocations per shard
-// and per detail-set chunk, far below one per detail (a signature-keyed
-// map of 152-byte values made one heap object per detail).
-func TestLoadDatasetAllocsPerShardAndChunk(t *testing.T) {
-	const records = 7000
+// loadTestSnapshot saves a dataset of 7000 length-3 records, each with
+// its three details, at one worker: two bundle shards and 21000 details.
+func loadTestSnapshot(t *testing.T) (snap []byte, records int) {
+	t.Helper()
+	const n = 7000
 	rng := rand.New(rand.NewSource(5))
 	d := NewDataset(testClock, 64)
-	for i := 0; i < records; i++ {
+	for i := 0; i < n; i++ {
 		rec := jito.BundleRecord{Seq: uint64(i), Slot: solana.Slot(10 * i), TipLamps: 1_000}
 		rng.Read(rec.ID[:])
 		for j := 0; j < 3; j++ {
@@ -442,10 +443,19 @@ func TestLoadDatasetAllocsPerShardAndChunk(t *testing.T) {
 	if err := d.SaveWorkers(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes(), n
+}
+
+// TestLoadDatasetAllocsPerShardAndChunk pins the cost of loading details:
+// a full load of more than 20k details makes a few allocations per shard
+// and per detail-set chunk, far below one per detail (a signature-keyed
+// map of 152-byte values made one heap object per detail).
+func TestLoadDatasetAllocsPerShardAndChunk(t *testing.T) {
+	snap, records := loadTestSnapshot(t)
 	var loaded *Dataset
 	allocs := testing.AllocsPerRun(3, func() {
 		var err error
-		if loaded, err = LoadDatasetWorkers(bytes.NewReader(buf.Bytes()), 64, 1); err != nil {
+		if loaded, err = LoadDatasetWorkers(bytes.NewReader(snap), 64, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -458,5 +468,36 @@ func TestLoadDatasetAllocsPerShardAndChunk(t *testing.T) {
 	}
 	if limit := float64(50*shards + 4*chunks + 100); allocs > limit {
 		t.Fatalf("%.0f allocations per load, want at most %.0f (%d shards, %d chunks)", allocs, limit, shards, chunks)
+	}
+}
+
+// TestLoadDatasetBytes pins the heap bytes a full load allocates, from
+// empty pools: each shard's details are decoded once, into the array the
+// detail set keeps, and the detail index is sized once per section. The
+// budget is the measured 11.1 MiB plus under 10%; copying every detail
+// through Put, with the index grown step by step, allocates 13.5 MiB.
+func TestLoadDatasetBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	snap, _ := loadTestSnapshot(t)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC() // twice: the second empties the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err := LoadDatasetWorkers(bytes.NewReader(snap), 64, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(loaded)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const budget = 12 << 20
+	t.Logf("%.2f MiB allocated per load", float64(least)/(1<<20))
+	if least > budget {
+		t.Fatalf("%.2f MiB allocated per load, want at most %.2f MiB", float64(least)/(1<<20), float64(budget)/(1<<20))
 	}
 }

@@ -176,14 +176,86 @@ func TestDetailSetViewsSurviveAppends(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzDetailSet drives a set through arbitrary Put/Get/Len/iterate
+// TestDetailSetAdoptKeepsArray: an adopt copies only the details that
+// fill the open chunk and those past its last full chunk; the full
+// chunks in between are the adopted array itself, so views into them
+// alias it and see a later Put.
+func TestDetailSetAdoptKeepsArray(t *testing.T) {
+	var s DetailSet
+	for i := 0; i < 10; i++ {
+		s.Put(testDetail(i, uint64(i)))
+	}
+	run := make([]TxDetail, 1000)
+	for k := range run {
+		run[k] = testDetail(100+k, uint64(k))
+	}
+	s.Adopt(run)
+	if s.Len() != 1010 {
+		t.Fatalf("len %d, want 1010", s.Len())
+	}
+	// Position 10+k holds run[k]: positions 10–255 fill the open chunk,
+	// 256–767 are two full chunks, 768–1009 the tail.
+	for p := 10; p < s.Len(); p++ {
+		k := p - 10
+		if s.At(p).Sig != testSig(100+k) || s.Index(testSig(100+k)) != p {
+			t.Fatalf("position %d holds %+v", p, *s.At(p))
+		}
+		if alias, want := s.At(p) == &run[k], p >= 256 && p < 768; alias != want {
+			t.Fatalf("position %d aliases the adopted array: %v, want %v", p, alias, want)
+		}
+	}
+	view, ok := s.Aligned(nil, []solana.Signature{testSig(390), testSig(391), testSig(392)})
+	if !ok || &view[0] != &run[290] {
+		t.Fatal("aligned run in an adopted chunk is not a view into the array")
+	}
+	s.Put(testDetail(390, 7777))
+	if view[0].Slot != 7777 || s.Len() != 1010 {
+		t.Fatalf("view reads slot %d after a Put, len %d", view[0].Slot, s.Len())
+	}
+}
+
+// TestDetailSetGrow: growing the index, empty or already holding
+// signatures, keeps every position and lookup.
+func TestDetailSetGrow(t *testing.T) {
+	narrowHash(t, 4)
+	var s DetailSet
+	s.Grow(0)
+	s.Grow(300)
+	for i := 0; i < 600; i++ {
+		s.Put(testDetail(i, uint64(i)))
+	}
+	s.Grow(1000)
+	for i := 600; i < 1600; i++ {
+		s.Put(testDetail(i, uint64(i)))
+	}
+	s.Put(testDetail(5, 99))
+	for i := 0; i < 1600; i++ {
+		if s.Index(testSig(i)) != i {
+			t.Fatalf("sig %d at %d", i, s.Index(testSig(i)))
+		}
+	}
+	if d, _ := s.Get(testSig(5)); d.Slot != 99 || s.Len() != 1600 {
+		t.Fatalf("after Grow: slot %d, len %d", d.Slot, s.Len())
+	}
+}
+
+// FuzzDetailSet drives a set through arbitrary Put/Adopt/Get/Len/iterate
 // sequences over a small signature pool, so signatures repeat, and
 // checks every step against a plain map. The first byte picks full
 // hashing or four collision buckets.
 func FuzzDetailSet(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 2, 3, 1, 1, 1, 0, 4, 0, 255, 3})
-	f.Add([]byte{1, 0, 5, 0, 0, 5, 1, 1, 5, 4, 2, 200, 4, 7, 90, 3, 2, 1, 0, 0})
-	f.Add([]byte{0, 4, 0, 255, 4, 3, 20, 5, 0, 0, 3})
+	f.Add([]byte{1, 0, 5, 0, 0, 5, 1, 1, 5, 4, 2, 200, 4, 2, 90, 3, 2, 1, 0, 0})
+	f.Add([]byte{0, 4, 0, 255, 4, 3, 20, 0, 0, 0, 3})
+	// An adopt at an unaligned start: one Put, then 600 details of which
+	// the third repeats the Put's signature, in the open head chunk.
+	f.Add([]byte{0, 0, 30, 1, 5, 8, 200, 3, 0, 0, 2, 0, 0})
+	// An adopt padded to a chunk boundary, two full chunks and a tail,
+	// on four collision chains.
+	f.Add([]byte{1, 4, 0, 10, 5, 3, 255, 1, 30, 0, 3, 5, 0})
+	// A short adopt that fits the open chunk, repeating its own second
+	// detail and an earlier Put, on four collision chains.
+	f.Add([]byte{1, 0, 23, 4, 4, 0, 3, 5, 1, 20, 3, 0, 0, 0, 23, 9, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -194,6 +266,7 @@ func FuzzDetailSet(f *testing.F) {
 		var s DetailSet
 		ref := make(map[solana.Signature]TxDetail)
 		var order []solana.Signature // first-insertion order
+		fresh := 1 << 20             // adopted signatures never Put
 		put := func(d TxDetail) {
 			if _, ok := ref[d.Sig]; !ok {
 				order = append(order, d.Sig)
@@ -201,8 +274,32 @@ func FuzzDetailSet(f *testing.F) {
 			ref[d.Sig] = d
 			s.Put(d)
 		}
+		// check compares every position, and every run of three
+		// consecutive positions, with the reference.
+		check := func() {
+			if s.Len() != len(ref) {
+				t.Fatalf("Len %d, want %d", s.Len(), len(ref))
+			}
+			for p := 0; p < s.Len(); p++ {
+				d := s.At(p)
+				if d.Sig != order[p] || !reflect.DeepEqual(*d, ref[d.Sig]) || s.Index(d.Sig) != p {
+					t.Fatalf("position %d holds %+v, want %+v", p, *d, ref[order[p]])
+				}
+				if p+3 > s.Len() {
+					continue
+				}
+				got, ok := s.Aligned(nil, order[p:p+3])
+				want := []TxDetail{ref[order[p]], ref[order[p+1]], ref[order[p+2]]}
+				if !ok || !reflect.DeepEqual(got, want) {
+					t.Fatalf("Aligned(positions %d..) = %v %v, want %v", p, got, ok, want)
+				}
+				if view := p%detailChunkLen+3 <= detailChunkLen; view != (&got[0] == s.At(p)) {
+					t.Fatalf("Aligned(positions %d..): view %v, want %v", p, !view, view)
+				}
+			}
+		}
 		for i := 1; i+2 < len(data); i += 3 {
-			op, n, v := data[i]%5, int(data[i+1])%300, uint64(data[i+2])
+			op, n, v := data[i]%6, int(data[i+1])%300, uint64(data[i+2])
 			switch op {
 			case 0:
 				put(testDetail(n, v))
@@ -217,12 +314,7 @@ func FuzzDetailSet(f *testing.F) {
 					t.Fatalf("Len %d, want %d", s.Len(), len(ref))
 				}
 			case 3:
-				for p := 0; p < s.Len(); p++ {
-					d := s.At(p)
-					if d.Sig != order[p] || !reflect.DeepEqual(*d, ref[d.Sig]) || s.Index(d.Sig) != p {
-						t.Fatalf("position %d holds %+v, want %+v", p, *d, ref[order[p]])
-					}
-				}
+				check()
 				ids := []solana.Signature{testSig(n), testSig(n + 1), testSig(n + 2)}
 				got, ok := s.Aligned(nil, ids)
 				var want []TxDetail
@@ -240,6 +332,39 @@ func FuzzDetailSet(f *testing.F) {
 				for k := 0; k < int(v); k++ {
 					put(testDetail(1000+len(order)+k, v))
 				}
+			case 5:
+				// Adopt a run of 6·(v/2) details: mostly fresh signatures,
+				// every fifth from the Put pool, every fifth repeating the
+				// run's own detail three back. An odd v first pads the set
+				// to a chunk boundary.
+				if v&1 == 1 {
+					for s.Len()%detailChunkLen != 0 {
+						put(testDetail(fresh, v))
+						fresh++
+					}
+				}
+				run := make([]TxDetail, 6*int(v/2))
+				for k := range run {
+					slot := v<<16 | uint64(k)
+					switch {
+					case k%5 == 2:
+						run[k] = testDetail((n+11*k)%300, slot)
+					case k%5 == 4:
+						run[k] = testDetail(0, slot)
+						run[k].Sig = run[k-3].Sig
+					default:
+						run[k] = testDetail(fresh, slot)
+						fresh++
+					}
+				}
+				for _, d := range run {
+					if _, ok := ref[d.Sig]; !ok {
+						order = append(order, d.Sig)
+					}
+					ref[d.Sig] = d
+				}
+				s.Adopt(run)
+				check()
 			}
 		}
 		if s.Len() != len(ref) {

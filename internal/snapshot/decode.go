@@ -25,9 +25,11 @@ const maxShardBytes = 1 << 28
 const maxDeflateRatio = 1032
 
 // maxReserve caps the records a section header's item count may reserve
-// up front. The count is only a claim until the shards behind it
-// are read; larger honest sections grow past the cap as they decode.
-// Maps are never sized from a claim.
+// up front, and the room a full load makes in its detail index from the
+// same count. The count is only a claim until the shards behind it
+// are read, so neither is reserved before the section's first shard has
+// decoded; larger honest sections grow past the cap as they decode. No
+// other map is sized from a claim.
 const maxReserve = 1 << 20
 
 var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}

@@ -115,6 +115,11 @@ type ScanOptions struct {
 	// header claims — the hook full loads and planners use to size their
 	// accounting. The totals are only a claim until the shards are read.
 	SectionStart func(sec Section, shards, items int) error
+
+	// keepDetails decodes each batch's details into an array of their
+	// exact number that the arena does not take back: the full load's
+	// detail set adopts it. Only readV3 sets it.
+	keepDetails bool
 }
 
 // Scan streams a snapshot from r: prelude once, then one fold call per
@@ -269,7 +274,7 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 			sh.blob = nil
 			return sh
 		}
-		decodeShard(&sh, sec, withDetails, opts.Map)
+		decodeShard(&sh, sec, withDetails, opts)
 		return sh
 	}, func(sh scanShard) {
 		if foldErr != nil {
@@ -330,14 +335,15 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 // the batch when set. The decoders copy everything out of the payload,
 // so both frame buffers go back to the pool as soon as the shard is
 // decoded; a mapped batch's memory is reused, since Map must not retain
-// it.
-func decodeShard(sh *scanShard, sec Section, withDetails bool, mapFn func(Section, ShardMeta, *Batch) (any, error)) {
+// it. An unmapped batch goes to the fold, which owns it.
+func decodeShard(sh *scanShard, sec Section, withDetails bool, opts *ScanOptions) {
 	raw := getFrameBuf(sh.meta.RawLen)
 	err := decompressShard(*raw, *sh.blob)
 	putFrameBuf(sh.blob)
 	sh.blob = nil
 	if err == nil {
 		a := getArena(sh.meta.RawLen)
+		a.keepDets = opts.keepDetails
 		if sec == SectionOrphans {
 			sh.batch, err = decodeOrphanShard(a, sh.meta.Items, *raw)
 		} else {
@@ -352,8 +358,8 @@ func decodeShard(sh *scanShard, sec Section, withDetails bool, mapFn func(Sectio
 		sh.err = corruptShard(sh.idx, err)
 		return
 	}
-	if mapFn != nil {
-		sh.mapped, sh.err = mapFn(sec, sh.meta, sh.batch)
+	if opts.Map != nil {
+		sh.mapped, sh.err = opts.Map(sec, sh.meta, sh.batch)
 		sh.batch.arena.recycle(false)
 		sh.batch = nil
 	}
@@ -431,9 +437,11 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 // no pruning, reassembling the in-memory Snapshot.
 func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	s := &Snapshot{Details: new(jito.DetailSet)}
-	// A section's records are reserved from its header's claim only once
-	// its first shard has decoded, so a hostile claim alone costs nothing.
-	reserve := 0
+	// A section's records, and room in the detail index, are reserved
+	// from its header's claim only once its first shard has decoded, so
+	// a hostile claim alone costs nothing; each is capped at maxReserve.
+	// The index is sized by the details per item that first shard held.
+	reserve, first := 0, false
 	grow := func(dst, recs []jito.BundleRecord) []jito.BundleRecord {
 		if dst == nil {
 			dst = make([]jito.BundleRecord, 0, max(reserve, len(recs)))
@@ -441,9 +449,10 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		return append(dst, recs...)
 	}
 	opts := ScanOptions{
-		Workers: workers,
+		Workers:     workers,
+		keepDetails: true,
 		SectionStart: func(_ Section, _, items int) error {
-			reserve = min(items, maxReserve)
+			reserve, first = min(items, maxReserve), true
 			return nil
 		},
 	}
@@ -455,21 +464,23 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 		s.TipsLen1 = p.TipsLen1
 		s.TipsLen3 = p.TipsLen3
 		return nil
-	}, func(sec Section, _ ShardMeta, b *Batch, _ any) error {
+	}, func(sec Section, m ShardMeta, b *Batch, _ any) error {
+		if first && m.Items > 0 {
+			s.Details.Grow(min(len(b.Details())*reserve/m.Items, maxReserve))
+			first = false
+		}
 		switch sec {
 		case SectionLen3:
 			s.Len3 = grow(s.Len3, b.Recs)
 		case SectionLong:
 			s.Long = grow(s.Long, b.Recs)
 		}
-		// The set grows chunk by chunk as shards arrive; nothing is sized
-		// from the header's counts.
-		dets := b.Details()
-		for i := range dets {
-			s.Details.Put(dets[i])
-		}
-		// The copies alias the TxIDs and TokenDelta arrays; the rest of
-		// the batch is reused.
+		// The set adopts the shard's details array as it arrives, copying
+		// at most a chunk's worth at either end.
+		s.Details.Adopt(b.Details())
+		// The set now owns the details array; it and the copied records
+		// alias the TxIDs and TokenDelta arrays. The rest of the batch is
+		// reused.
 		b.arena.recycle(true)
 		return nil
 	})

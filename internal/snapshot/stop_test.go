@@ -115,6 +115,46 @@ func TestHostileShardCountStaysCheap(t *testing.T) {
 	}
 }
 
+// TestHostileItemClaimCapsDetailIndex: once a section's first shard has
+// decoded, a full load sizes its detail index from the header's item
+// claim, so a claim of 2^38 orphan details behind a single real one
+// must reserve no more than maxReserve entries before the missing
+// shards fail the read.
+func TestHostileItemClaimCapsDetailIndex(t *testing.T) {
+	empty := fuzzSeed(t, &Snapshot{Genesis: 42})
+	one := &Snapshot{Genesis: 42, Details: new(jito.DetailSet)}
+	one.Details.Put(jito.TxDetail{Sig: solana.Signature{1}, Slot: 5})
+	honest := fuzzSeed(t, one)
+	// Both files end with the orphans header, one shard claiming one
+	// item in the honest file, then its frame and the terminator.
+	at := len(empty) - 4
+	if !bytes.Equal(honest[:at], empty[:at]) || !bytes.Equal(honest[at:at+3], []byte{secOrphans, 1, 1}) {
+		t.Fatalf("orphans header not at byte %d", at)
+	}
+	data := append([]byte{}, honest[:at+2]...)
+	data = appendUvarint(data, 1<<38)
+	data = append(data, honest[at+3:]...)
+
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	capped := allocated(func() { runtime.KeepAlive(make(map[uint64]int32, maxReserve)) })
+	var err error
+	got := allocated(func() { _, err = Read(bytes.NewReader(data), 1) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if got > capped+4<<20 {
+		t.Errorf("allocated %.1f MiB, want at most %.1f MiB: an index of maxReserve entries and the read",
+			float64(got)/(1<<20), float64(capped+4<<20)/(1<<20))
+	}
+}
+
 // TestScanStopsAfterError: once a fold or Map fails, no further frame is
 // read or mapped beyond those already in the pool's window, and Scan
 // returns that error.

@@ -246,8 +246,9 @@ type Batch struct {
 func (b *Batch) HasDetails() bool { return b.hasDetails }
 
 // Details returns every detail present in the batch in (record, member)
-// order — orphan batches return their whole payload. Full loads append
-// it to the detail set; the slice is owned by the batch.
+// order — orphan batches return their whole payload. The slice is owned
+// by the batch, except in a full load, which hands its array to the
+// detail set's Adopt to keep.
 func (b *Batch) Details() []jito.TxDetail { return b.dets }
 
 // AppendDetails appends record i's aligned details to dst and reports
@@ -265,7 +266,7 @@ func (b *Batch) AppendDetails(dst []jito.TxDetail, i int) ([]jito.TxDetail, bool
 // decodeArena is the memory one decoded shard is carved from: the Batch
 // itself, its records and details, and the decode scratch. The scanner
 // draws arenas from a pool and hands them back once a shard is consumed
-// (after Map, or after a full load has copied the shard out), so a warm
+// (after Map, or after a full load has taken the shard over), so a warm
 // scan allocates per shard, not per record.
 type decodeArena struct {
 	batch   Batch
@@ -277,6 +278,14 @@ type decodeArena struct {
 	counts  []int           // per-detail delta counts
 	deltas  []jito.TokenDelta
 	payload int // length of the payload last decoded into the arena
+
+	// keepDets gives the details of a batch the fold keeps (a full
+	// load's detail set adopts them) an array of exactly their number,
+	// which the arena does not take back.
+	keepDets bool
+	// detsUsed bounds the entries of dets written since they were last
+	// cleared, which may still alias TxIDs and TokenDelta arrays.
+	detsUsed int
 }
 
 var arenas = sync.Pool{New: func() any { return new(decodeArena) }}
@@ -291,20 +300,33 @@ func getArena(rawLen int) *decodeArena {
 
 // recycle returns the arena to the pool; the batch carved from it must
 // not be used afterwards. keepBackings withholds the TxIDs and
-// TokenDelta arrays, which records and details copied out of the batch
-// still alias, and clears the stale references to them. Arenas that
-// decoded an oversized payload are left to the collector, like oversized
-// frame buffers.
+// TokenDelta arrays, which records copied out of the batch and the
+// details a full load adopted still alias, and clears the arena's stale
+// references to them. The adopted details array was never the arena's
+// (see keepDets). Arenas that decoded an oversized payload are left to
+// the collector, like oversized frame buffers.
 func (a *decodeArena) recycle(keepBackings bool) {
 	a.batch = Batch{}
 	if keepBackings {
 		a.sigs, a.deltas = nil, nil
-		clear(a.recs)
-		clear(a.dets)
+		clear(a.recs[:cap(a.recs)])
+		clear(a.dets[:a.detsUsed])
+		a.detsUsed = 0
 	}
 	if a.payload <= maxPooledFrame {
 		arenas.Put(a)
 	}
+}
+
+// details returns the array n decoded details go into: the arena's own,
+// or with keepDets a fresh one of exactly n that the arena never holds.
+func (a *decodeArena) details(n int) []jito.TxDetail {
+	if a.keepDets {
+		return make([]jito.TxDetail, n)
+	}
+	a.dets = resize(a.dets, n)
+	a.detsUsed = max(a.detsUsed, n)
+	return a.dets
 }
 
 // resize returns s with length n, reusing its array when it is large
@@ -381,9 +403,9 @@ func decodeBundleShard(a *decodeArena, items int, raw []byte, withDetails bool) 
 		}
 		count += int(p)
 	}
-	a.dets = resize(a.dets, count)
+	dets := a.details(count)
 	a.detOff = resize(a.detOff, items+1)
-	dets, detOff := a.dets, a.detOff
+	detOff := a.detOff
 	k, di := 0, 0
 	for i := range b.Recs {
 		detOff[i] = int32(di)
@@ -419,8 +441,7 @@ func decodeOrphanShard(a *decodeArena, items int, raw []byte) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.dets = resize(a.dets, items)
-	dets := a.dets
+	dets := a.details(items)
 	for i := range dets {
 		copy(dets[i].Sig[:], sigCol[64*i:])
 	}

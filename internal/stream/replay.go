@@ -80,12 +80,29 @@ func Replay(e *Engine, data *collector.Dataset) {
 	if e.cfg.Extended {
 		long = data.Long
 	}
-	// One private copy of the records to offer, sorted in place.
-	recs := make([]jito.BundleRecord, 0, len(data.Len3)+len(long))
-	recs = append(append(recs, data.Len3...), long...)
-	sortCanonical(recs)
-	for i := range recs {
-		e.Offer(Event{Rec: recs[i], Details: detailsOf(data, &recs[i])})
+	// Records are offered through a permutation sorted canonically, ties
+	// broken by index into Len3 then Long: the order a stable sort of
+	// the concatenated records gives, without copying one.
+	n3 := len(data.Len3)
+	rec := func(p int32) *jito.BundleRecord {
+		if int(p) < n3 {
+			return &data.Len3[p]
+		}
+		return &long[int(p)-n3]
+	}
+	perm := make([]int32, n3+len(long))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := compareCanonical(rec(a), rec(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, p := range perm {
+		r := rec(p)
+		e.Offer(Event{Rec: *r, Details: detailsOf(data, r)})
 	}
 	e.SetScope(ScopeOf(data))
 }
