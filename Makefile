@@ -50,7 +50,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout|Conn' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
 
-# fuzz runs each of the ten native fuzz targets briefly: the
+# fuzz runs each of the eleven native fuzz targets briefly: the
 # fixed-width base58 paths against the generic reference, and the
 # explorer wire codec's decoders against encoding/json (accept/reject,
 # decoded values, fault class; a recent page or a detail request
@@ -71,15 +71,23 @@ chaos:
 # long, against a plain map), and the collector's HTTP/1.1 response reader (arbitrary response
 # bytes against net/http's ReadResponse plus io.ReadAll: equal status
 # and body where both accept, alike fault classes where both refuse,
-# never a panic, memory within the header and body caps).
+# never a panic, memory within the header and body caps), and the
+# stream engine (a study's feed delivered under an arbitrary plan of
+# per-event delays within the watermark lag and duplicate deliveries,
+# at 1 or 4 workers: Results equal to the batch pass over the same
+# deliveries, nothing dropped late, the collector's duplicate count).
+# Its inputs cost a whole study pass each, so minimizing a new input
+# is capped at 1s; uncapped, minimization would take the whole run.
 # Seed corpora are encoder output of generated records plus
 # ChaosHandler-style truncations and byte flips, the limit/before test
 # cases and raw queries with semicolons, repeated keys, empty values and
 # valid and invalid escapes, a small snapshot with its truncations and a file holding one
 # signature twice, the traceparent round-trip cases, the /leasez request
 # bodies of the HTTP tests, short DetailSet op sequences (adopts among
-# them), and explorer responses framed by Content-Length, chunked and
-# EOF with their ChaosHandler-style truncations and byte flips.
+# them), explorer responses framed by Content-Length, chunked and
+# EOF with their ChaosHandler-style truncations and byte flips, and
+# delivery plans with no faults, the chaos-feed test's own plan, every
+# event one slot late and every event duplicated.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer
@@ -91,6 +99,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzLeasezOps$$' -fuzztime=10s -parallel=2 ./internal/fleet
 	$(GO) test -run=NONE -fuzz='^FuzzDetailSet$$' -fuzztime=10s -parallel=2 ./internal/jito
 	$(GO) test -run=NONE -fuzz='^FuzzReadResponse$$' -fuzztime=10s -parallel=2 ./internal/collector
+	$(GO) test -run=NONE -fuzz='^FuzzStreamMatchesBatch$$' -fuzztime=10s -fuzzminimizetime=1s -parallel=2 ./internal/stream
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default
@@ -98,13 +107,12 @@ fuzz:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench-json runs the benchmark suite once and writes BENCH_persist.json
-# (benchmark name → ns/op, B/op, allocs/op, MB/s) so future PRs can diff
-# the performance trajectory mechanically. The observability-overhead
-# benchmarks (registry hot path plus instrumented-vs-plain analysis) run
-# long enough for stable ns/op and land in BENCH_obs.json.
+# bench-json writes the BENCH_*.json files (benchmark name → ns/op,
+# B/op, allocs/op, MB/s) at default benchtimes. The observability-overhead
+# benchmarks (registry hot path plus instrumented-vs-plain analysis) land
+# in BENCH_obs.json. `make bench` is the smoke pass over every benchmark;
+# whole-pipeline measurement is perfbench (BENCHMARK.json).
 bench-json:
-	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchjson > BENCH_persist.json
 	$(GO) test -run=NONE -bench='Obs|InstrumentedAnalyze|AnalyzeParallel$$' -benchmem . ./internal/obs | $(GO) run ./cmd/benchjson > BENCH_obs.json
 	$(GO) test -run=NONE -bench=Quality -benchmem ./internal/quality | $(GO) run ./cmd/benchjson > BENCH_quality.json
 	$(GO) test -run=NONE -bench=Query -benchmem ./internal/query | $(GO) run ./cmd/benchjson > BENCH_query.json
@@ -115,8 +123,8 @@ bench-json:
 	$(GO) run ./cmd/loadgen -self -clients 32 -qps 200 -qps-max 1500 -steps 4 -step-dur 3s -bench-out BENCH_serve.json
 
 # bench-latency smoke-runs the incremental-detection benchmarks once —
-# quick proof that the streamed path, its cross-block stage and the
-# batch baseline still execute and report their latency percentiles.
+# quick proof that the streamed path and the batch baseline still
+# execute and report their latency percentiles.
 bench-latency:
 	$(GO) test -run=NONE -bench=Stream -benchtime=1x ./internal/stream
 

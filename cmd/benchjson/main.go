@@ -4,9 +4,10 @@
 // b.ReportMetric — e.g. the streaming-query shards/s, peak-RSS-bytes and
 // pruned-frac, or the incremental detector's events/s and p50-ms/p99-ms
 // latency percentiles — land under "extra" keyed by unit. The `make
-// bench-json` target pipes the benchmark suite through it into
-// BENCH_persist.json (plus per-subsystem files like BENCH_stream.json)
-// so successive PRs can diff the performance trajectory mechanically.
+// bench-json` target pipes per-subsystem benchmarks through it into
+// files like BENCH_stream.json. For a smoke pass over every benchmark
+// use `make bench`; whole-pipeline measurement is perfbench
+// (BENCHMARK.json).
 //
 // Usage:
 //

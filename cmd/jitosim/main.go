@@ -56,7 +56,6 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this path (taken after the run)")
 		streamDet = flag.Bool("stream-detect", false, "also run the incremental streaming detector over the live feed")
-		crossWin  = flag.Int("stream-cross", 0, "streaming cross-block window in slots (0 = default 4, negative = off)")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics and /statusz on this address during the run")
 		withPprof = flag.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
 		summary   = flag.Bool("summary", false, "print the metrics registry as a table at exit")
@@ -128,7 +127,6 @@ func main() {
 		FaultRate:         *faultRate,
 		ChaosSeed:         *chaosSeed,
 		StreamDetect:      *streamDet,
-		StreamCrossSlots:  *crossWin,
 		Obs:               reg,
 		Quality:           q,
 	})

@@ -45,7 +45,7 @@ func main() {
 		points  = flag.Int("points", 25, "CDF points for figure 3")
 		load    = flag.String("load", "", "analyze a saved dataset instead of regenerating")
 		stream  = flag.Bool("stream", false, "with -load: out-of-core streaming analysis (bounded memory)")
-		replay  = flag.Bool("replay", false, "with -load: replay the dataset through the incremental detector (prints latency percentiles and cross-block verdicts)")
+		replay  = flag.Bool("replay", false, "with -load: replay the dataset through the incremental detector (prints latency percentiles)")
 		workers = flag.Int("workers", 0, "analysis workers: 0 = all cores, 1 = serial reference path")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf = flag.String("memprofile", "", "write a heap profile to this path (taken after the run)")
@@ -238,8 +238,8 @@ func renderFromFile(path, fig string, points, workers int, stream, replay bool, 
 
 // replayFromFile pushes a saved dataset through the incremental
 // detection engine in canonical order — the verdicts are bit-identical
-// to the batch pass — and reports the stream's per-stage latency and
-// cross-block findings on stderr, leaving stdout to the figure.
+// to the batch pass — and reports the stream's per-stage latency on
+// stderr, leaving stdout to the figure.
 func replayFromFile(path string, workers int) *report.Results {
 	f, err := os.Open(path)
 	if err != nil {
@@ -254,7 +254,6 @@ func replayFromFile(path string, workers int) *report.Results {
 		Workers:  workers,
 		Extended: len(data.Long) > 0,
 		Clock:    data.Clock,
-		Cross:    streamdet.CrossConfig{WindowSlots: 4},
 	})
 	start := time.Now()
 	streamdet.Replay(eng, data)
@@ -264,9 +263,5 @@ func replayFromFile(path string, workers int) *report.Results {
 	s.Write(os.Stderr)
 	rate := float64(s.Events) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "  replayed %d events in %s (%.0f events/s)\n", s.Events, elapsed.Round(time.Millisecond), rate)
-	for _, cv := range eng.CrossVerdicts() {
-		fmt.Fprintf(os.Stderr, "  cross-block sandwich: slots %d→%d (span %d), attacker %x…, gain %.0f lamports (hasSOL=%v)\n",
-			cv.FrontSlot, cv.BackSlot, cv.SpanSlots(), cv.Attacker[:4], cv.AttackerGainLamports, cv.HasSOL)
-	}
 	return r
 }

@@ -5,9 +5,8 @@ import (
 	"io"
 )
 
-// Write renders the summary as the CLIs print it: a counters line, a
-// per-stage latency table, and — when the cross-block stage ran — the
-// cache's verdict/eviction accounting.
+// Write renders the summary as the CLIs print it: a counters line and a
+// per-stage latency table.
 func (s Summary) Write(w io.Writer) {
 	fmt.Fprintf(w, "stream: %d events (%d late, %d duplicate) over %d sealed slots — %d verdicts, %d disguised\n",
 		s.Events, s.Late, s.Duplicates, s.SlotsSealed, s.Verdicts, s.Disguised)
@@ -15,8 +14,4 @@ func (s Summary) Write(w io.Writer) {
 	fmt.Fprintf(w, "  ingest→seal  %12s %12s\n", s.IngestToSealP50, s.IngestToSealP99)
 	fmt.Fprintf(w, "  seal→verdict %12s %12s\n", s.SealToVerdictP50, s.SealToVerdictP99)
 	fmt.Fprintf(w, "  end-to-end   %12s %12s\n", s.DetectP50, s.DetectP99)
-	if s.CrossCandidates > 0 || s.CrossVerdicts > 0 {
-		fmt.Fprintf(w, "  cross-block: %d candidates → %d verdicts (evicted %d window, %d capacity; cache high water %d bytes)\n",
-			s.CrossCandidates, s.CrossVerdicts, s.CrossEvictWindow, s.CrossEvictCapacity, s.CrossCacheHighWater)
-	}
 }

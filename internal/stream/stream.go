@@ -26,11 +26,6 @@
 //     collector.Dataset.Ingest; a replay of an already-collected dataset
 //     imports the dataset's own scope via SetScope instead.
 //
-// On top of the in-block fold sits a cross-block stage the batch path
-// does not have: a bounded candidate cache keyed by (pool, signer) that
-// pairs front- and back-legs across bundle and block boundaries within a
-// leader-contiguity window (see cross.go).
-//
 // Latency is measured per stage — ingest→seal and seal→verdict
 // histograms plus end-to-end detection latency — on the obs registry
 // next to the stream_* counter family.
@@ -53,7 +48,7 @@ import (
 )
 
 // Config configures an Engine. The zero value is usable: all cores, a
-// 2-slot watermark lag, length-3 detection only, cross-block disabled.
+// 2-slot watermark lag, length-3 detection only.
 type Config struct {
 	// Workers bounds the detection pool (0 = all cores). At 1,
 	// detection and fold run inline in the Offer, Advance or Finish call
@@ -84,10 +79,6 @@ type Config struct {
 
 	// SOLPriceUSD for dollar conversions; ≤ 0 selects the paper's rate.
 	SOLPriceUSD float64
-
-	// Cross enables the cross-block candidate stage when
-	// Cross.WindowSlots > 0.
-	Cross CrossConfig
 
 	// Reg receives the stream_* counter family and the latency
 	// histograms (nil = a private registry, so Summary always works).
@@ -180,8 +171,7 @@ type Engine struct {
 	mu       sync.Mutex
 	finished bool
 
-	acc   *report.Accumulator
-	cross *crossTracker
+	acc *report.Accumulator
 
 	// Ingest front state (guarded by mu). order and retired are
 	// front-popped queues with an explicit head index — popping by
@@ -271,10 +261,6 @@ func New(cfg Config) *Engine {
 	e.hIngestSeal = reg.Histogram("stream_ingest_to_seal_seconds", detectLatencyBuckets)
 	e.hSealVerdict = reg.Histogram("stream_seal_to_verdict_seconds", detectLatencyBuckets)
 	e.hDetect = reg.Histogram("stream_detect_latency_seconds", detectLatencyBuckets)
-
-	if cfg.Cross.WindowSlots > 0 {
-		e.cross = newCrossTracker(cfg.Cross, reg)
-	}
 	return e
 }
 
@@ -488,10 +474,10 @@ func (e *Engine) seal(job *slotJob, now time.Time) {
 	e.retired = append(e.retired, ret)
 
 	// A slot with nothing to detect — the common case, most bundles are
-	// single-transaction tips — and no cross stage to feed skips the
-	// pool and retires here: its zero partials would fold as exact
-	// no-ops, so the fast path is bit-identical.
-	if len(job.recs3) == 0 && len(job.recsL) == 0 && e.cross == nil {
+	// single-transaction tips — skips the pool and retires here: its
+	// zero partials would fold as exact no-ops, so the fast path is
+	// bit-identical.
+	if len(job.recs3) == 0 && len(job.recsL) == 0 {
 		e.cSealed.Inc()
 		sampled := false
 		for i := range evs {
@@ -552,9 +538,6 @@ func alignedSource(dets [][]jito.TxDetail) report.DetailSource {
 func (e *Engine) fold(job *slotJob) {
 	e.acc.FoldLen3(job.len3)
 	e.acc.FoldLong(job.long)
-	if e.cross != nil {
-		e.cross.processSlot(job)
-	}
 	e.verdicts += uint64(job.len3.Hits())
 	e.disguised += uint64(job.long.Hits())
 	e.cVerdicts.Add(uint64(job.len3.Hits()))
@@ -630,15 +613,6 @@ func (e *Engine) liveScope() report.Scope {
 	}
 }
 
-// CrossVerdicts returns the cross-block verdicts in emission order.
-// Valid after Finish.
-func (e *Engine) CrossVerdicts() []CrossVerdict {
-	if e.cross == nil {
-		return nil
-	}
-	return e.cross.verdicts
-}
-
 // Summary snapshots the engine's counters and latency percentiles.
 // Valid after Finish.
 type Summary struct {
@@ -649,12 +623,6 @@ type Summary struct {
 	Verdicts    uint64
 	Disguised   uint64
 
-	CrossCandidates     uint64
-	CrossVerdicts       uint64
-	CrossEvictWindow    uint64
-	CrossEvictCapacity  uint64
-	CrossCacheHighWater int // bytes
-
 	IngestToSealP50, IngestToSealP99   time.Duration
 	SealToVerdictP50, SealToVerdictP99 time.Duration
 	DetectP50, DetectP99               time.Duration
@@ -662,7 +630,7 @@ type Summary struct {
 
 // Summary reads the engine's end-of-run summary.
 func (e *Engine) Summary() Summary {
-	s := Summary{
+	return Summary{
 		Events:      e.cEvents.Value(),
 		Late:        e.cLate.Value(),
 		Duplicates:  e.cDup.Value(),
@@ -677,14 +645,6 @@ func (e *Engine) Summary() Summary {
 		DetectP50:        seconds(e.hDetect.Quantile(0.50)),
 		DetectP99:        seconds(e.hDetect.Quantile(0.99)),
 	}
-	if e.cross != nil {
-		s.CrossCandidates = e.cross.cCand.Value()
-		s.CrossVerdicts = e.cross.cVerd.Value()
-		s.CrossEvictWindow = e.cross.cEvictWindow.Value()
-		s.CrossEvictCapacity = e.cross.cEvictCap.Value()
-		s.CrossCacheHighWater = e.cross.highWater * candBytes
-	}
-	return s
 }
 
 func seconds(s float64) time.Duration {

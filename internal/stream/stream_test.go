@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"slices"
 	"sync"
@@ -101,43 +102,65 @@ func TestStreamMatchesBatchOrderedFeed(t *testing.T) {
 }
 
 // scrambleFeed applies FeedChaos to the ordered feed: delayed events
-// slide back to after everything from slots ≤ slot+delay, duplicated
-// events are re-delivered immediately. Delivery order is deterministic
-// in (seed, rate, maxDelay).
+// slide back by their planned delay, duplicated events are re-delivered
+// immediately. Delivery order is deterministic in (seed, rate,
+// maxDelay).
 func scrambleFeed(events []stream.Event, seed int64, rate float64, maxDelay int) []stream.Event {
 	chaos := faults.NewFeedChaos(faults.NewInjector(seed, rate), maxDelay)
+	return deliverPlanned(events, func(int) (delay, replays int) {
+		switch class, d := chaos.Plan(); class {
+		case faults.ClassDelay:
+			return d, 0
+		case faults.ClassDuplicate:
+			return 0, 1
+		}
+		return 0, 0
+	})
+}
+
+// deliverPlanned reorders the ordered feed by a per-event plan, asked
+// once per event in feed order: event i lands delay slots late — after
+// every on-time event of slots ≤ slot+delay, in original order
+// otherwise — and is re-delivered replays more times right after.
+func deliverPlanned(events []stream.Event, plan func(i int) (delay, replays int)) []stream.Event {
 	type keyed struct {
 		ev      stream.Event
 		slot    solana.Slot // delivery slot: actual slot + planned delay
 		replays int
 	}
-	out := make([]keyed, 0, len(events))
-	for _, ev := range events {
-		class, delay := chaos.Plan()
-		k := keyed{ev: ev, slot: ev.Rec.Slot}
-		switch class {
-		case faults.ClassDelay:
-			k.slot += solana.Slot(delay)
-		case faults.ClassDuplicate:
-			k.replays = 1
-		}
-		out = append(out, k)
+	out := make([]keyed, len(events))
+	for i, ev := range events {
+		delay, replays := plan(i)
+		out[i] = keyed{ev: ev, slot: ev.Rec.Slot + solana.Slot(delay), replays: replays}
 	}
-	// Stable sort by delivery slot: a delayed event lands after every
-	// on-time event of slots ≤ slot+delay, original order otherwise.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].slot < out[j-1].slot; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b keyed) int { return cmp.Compare(a.slot, b.slot) })
 	delivered := make([]stream.Event, 0, len(out))
 	for _, k := range out {
-		delivered = append(delivered, k.ev)
-		for r := 0; r < k.replays; r++ {
+		for r := 0; r <= k.replays; r++ {
 			delivered = append(delivered, k.ev)
 		}
 	}
 	return delivered
+}
+
+// batchReference collects a delivery sequence the way the collector
+// does — its dedup window suppresses the duplicates, its record slices
+// end up in arrival order — then analyzes the canonicalized view. It
+// returns the batch Results and the duplicates the collection counted.
+func batchReference(clock solana.Clock, delivered []stream.Event) (*report.Results, uint64) {
+	data := collector.NewDataset(clock, 1024)
+	data.RetainLengths(4, 5)
+	for _, ev := range delivered {
+		if data.Ingest(ev.Rec) {
+			switch ev.Rec.NumTxs() {
+			case 3, 4, 5:
+				for _, d := range ev.Details {
+					data.Details.Put(d)
+				}
+			}
+		}
+	}
+	return report.AnalyzeN(stream.Canonicalize(data), core.NewDefaultDetector(), 0, 1), data.Duplicates
 }
 
 // TestStreamMatchesBatchChaosFeed: a feed scrambled at 10% fault rate —
@@ -152,26 +175,10 @@ func TestStreamMatchesBatchChaosFeed(t *testing.T) {
 	if dups == 0 {
 		t.Fatal("chaos injected no duplicates")
 	}
-
-	// The reference collects the same delivery sequence — its dedup
-	// window suppresses the duplicates, its record slices end up in
-	// arrival order — then analyzes the canonicalized view.
-	refData := collector.NewDataset(fx.clock, 1024)
-	refData.RetainLengths(4, 5)
-	for _, ev := range delivered {
-		if refData.Ingest(ev.Rec) {
-			switch ev.Rec.NumTxs() {
-			case 3, 4, 5:
-				for _, d := range ev.Details {
-					refData.Details.Put(d)
-				}
-			}
-		}
+	ref, refDups := batchReference(fx.clock, delivered)
+	if refDups != uint64(dups) {
+		t.Fatalf("reference dedup caught %d duplicates, want %d", refDups, dups)
 	}
-	if refData.Duplicates != uint64(dups) {
-		t.Fatalf("reference dedup caught %d duplicates, want %d", refData.Duplicates, dups)
-	}
-	ref := report.AnalyzeN(stream.Canonicalize(refData), core.NewDefaultDetector(), 0, 1)
 
 	for _, w := range []int{1, 4, 8} {
 		eng := stream.New(stream.Config{Workers: w, LagSlots: lag, Extended: true, Clock: fx.clock})
@@ -191,6 +198,48 @@ func TestStreamMatchesBatchChaosFeed(t *testing.T) {
 			t.Errorf("workers=%d: duplicates %d, want %d", w, s.Duplicates, dups)
 		}
 	}
+}
+
+// FuzzStreamMatchesBatch: any delivery plan the watermark can absorb —
+// delays of up to LagSlots-1 slots and duplicate deliveries — must fold
+// to the batch answer over the same deliveries, losing nothing and
+// counting exactly the duplicates the collector's dedup counts. Byte i
+// of plan schedules event i: a delay of plan[i] % lag slots, plus one
+// duplicate delivery when its high bit is set; events past the plan
+// stay on time. lag is clamped to 2..16.
+func FuzzStreamMatchesBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, lag uint8, fourWorkers bool, plan []byte) {
+		fx := buildFeed(t)
+		lag = min(max(lag, 2), 16)
+		workers := 1
+		if fourWorkers {
+			workers = 4
+		}
+		delivered := deliverPlanned(fx.events, func(i int) (delay, replays int) {
+			if i >= len(plan) {
+				return 0, 0
+			}
+			return int(plan[i] % lag), int(plan[i] >> 7)
+		})
+		ref, refDups := batchReference(fx.clock, delivered)
+
+		eng := stream.New(stream.Config{Workers: workers, LagSlots: solana.Slot(lag), Extended: true, Clock: fx.clock})
+		for _, ev := range delivered {
+			eng.Offer(ev)
+		}
+		got := eng.Finish()
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("lag=%d workers=%d: Results differ from batch", lag, workers)
+			diffResults(t, ref, got)
+		}
+		s := eng.Summary()
+		if s.Late != 0 {
+			t.Errorf("lag=%d workers=%d: %d events dropped late", lag, workers, s.Late)
+		}
+		if s.Duplicates != refDups {
+			t.Errorf("lag=%d workers=%d: duplicates %d, reference %d", lag, workers, s.Duplicates, refDups)
+		}
+	})
 }
 
 // TestStreamLateDrop: an arrival behind the sealed watermark is dropped

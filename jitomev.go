@@ -119,12 +119,6 @@ type Config struct {
 	// Outcome.StreamResults can exceed Outcome.Results.
 	StreamDetect bool
 
-	// StreamCrossSlots sets the streaming detector's cross-block window
-	// (slots of leader contiguity a front/back pair may span). 0 selects
-	// 4, the common Jito leader rotation span; < 0 disables the
-	// cross-block stage. Only meaningful with StreamDetect.
-	StreamCrossSlots int
-
 	// Quality receives the data-quality feed: the collector's coverage
 	// ledger (every poll, backfill and detail fetch), the workload's
 	// per-day landed counts, and the analysis pass's paper-anchored
@@ -183,10 +177,6 @@ type Outcome struct {
 	// StreamSummary carries the stream's counters and latency
 	// percentiles.
 	StreamSummary stream.Summary
-	// StreamCross holds cross-block sandwich verdicts — front/back legs
-	// in different bundles within the leader-contiguity window — which
-	// the batch path cannot see.
-	StreamCross []stream.CrossVerdict
 }
 
 // truthAdapter exposes workload ground truth through report.Truther.
@@ -277,19 +267,11 @@ func Run(cfg Config) (*Outcome, error) {
 
 	var eng *stream.Engine
 	if cfg.StreamDetect {
-		crossSlots := cfg.StreamCrossSlots
-		if crossSlots == 0 {
-			crossSlots = 4
-		}
-		if crossSlots < 0 {
-			crossSlots = 0
-		}
 		eng = stream.New(stream.Config{
 			Workers:     cfg.Workers,
 			Extended:    cfg.ExtendedDetection,
 			Clock:       p.Clock(),
 			SOLPriceUSD: cfg.SOLPriceUSD,
-			Cross:       stream.CrossConfig{WindowSlots: crossSlots},
 			Reg:         reg,
 		})
 		runSink = workload.SinkFunc(func(day int, acc *jito.Accepted) {
@@ -318,12 +300,10 @@ func Run(cfg Config) (*Outcome, error) {
 
 	var streamRes *report.Results
 	var streamSummary stream.Summary
-	var streamCross []stream.CrossVerdict
 	if eng != nil {
 		span = reg.StartSpan("stream_finish")
 		streamRes = eng.Finish()
 		streamSummary = eng.Summary()
-		streamCross = eng.CrossVerdicts()
 		span.End()
 	}
 
@@ -361,7 +341,6 @@ func Run(cfg Config) (*Outcome, error) {
 		Quality:        q,
 		StreamResults:  streamRes,
 		StreamSummary:  streamSummary,
-		StreamCross:    streamCross,
 	}
 	out.QualityReport = q.Evaluate()
 	if store.Len() > 0 {
