@@ -44,10 +44,12 @@ race:
 # chaos is the resilience gate: every chaos-tagged test under the race
 # detector (fault taxonomy, wire-level middleware, worker-count
 # determinism, 10%-fault integrity, the collector's connection
-# lifecycle: keep-alive, redial, close and framings), then a seeded end-to-end soak of
+# lifecycle: keep-alive, redial, close and framings, and the stream and
+# query engines' bit-identity under chaos-fed and chaos-collected
+# data), then a seeded end-to-end soak of
 # the full pipeline under a 10% fault rate.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout|Conn' . ./internal/faults ./internal/collector
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending|Timeout|Conn' . ./internal/faults ./internal/collector ./internal/stream ./internal/query
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
 
 # fuzz runs each of the eleven native fuzz targets briefly: the
@@ -72,7 +74,7 @@ chaos:
 # bytes against net/http's ReadResponse plus io.ReadAll: equal status
 # and body where both accept, alike fault classes where both refuse,
 # never a panic, memory within the header and body caps), and the
-# stream engine (a study's feed delivered under an arbitrary plan of
+# stream engine (a sparse or a dense study's feed delivered under an arbitrary plan of
 # per-event delays within the watermark lag and duplicate deliveries,
 # at 1 or 4 workers: Results equal to the batch pass over the same
 # deliveries, nothing dropped late, the collector's duplicate count).
@@ -87,7 +89,8 @@ chaos:
 # them), explorer responses framed by Content-Length, chunked and
 # EOF with their ChaosHandler-style truncations and byte flips, and
 # delivery plans with no faults, the chaos-feed test's own plan, every
-# event one slot late and every event duplicated.
+# event one slot late and every event duplicated, and on the dense feed
+# alternate events late at lag 2 and lag 16 and a mixed plan at lag 16.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBase58Fixed$$' -fuzztime=10s -parallel=2 ./internal/base58
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecent$$' -fuzztime=10s -parallel=2 ./internal/explorer

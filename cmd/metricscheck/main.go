@@ -153,7 +153,7 @@ func checkSloz(url string, wait time.Duration, expect string) error {
 					len(doc.Objectives), doc.Ticks)
 				return nil
 			}
-			if _, fatal := err.(*tracezShapeError); fatal {
+			if _, fatal := err.(*shapeError); fatal {
 				return err
 			}
 		}
@@ -249,18 +249,6 @@ func validateSloz(body []byte, expect string) error {
 	return nil
 }
 
-// tracezDoc mirrors the /tracez JSON document (obs keeps the wrapper
-// unexported; the kept traces themselves are obs.KeptTrace).
-type tracezDoc struct {
-	Service   string          `json:"service"`
-	Capacity  int             `json:"capacity"`
-	Occupancy int             `json:"occupancy"`
-	Started   uint64          `json:"traces_started"`
-	Sampled   uint64          `json:"traces_sampled"`
-	Dropped   uint64          `json:"traces_dropped"`
-	Traces    []obs.KeptTrace `json:"traces"`
-}
-
 // checkTracez fetches and validates a /tracez document, retrying until
 // the deadline for a trace with at least minSpans spans (and, when
 // wantRemote, a remotely-rooted one). Shape violations fail immediately;
@@ -273,13 +261,13 @@ func checkTracez(url string, wait time.Duration, minSpans int, wantRemote bool) 
 			var deepest int
 			deepest, err = validateTracez(body, minSpans, wantRemote)
 			if err == nil {
-				var doc tracezDoc
+				var doc obs.TracezDoc
 				_ = json.Unmarshal(body, &doc)
 				fmt.Printf("metricscheck: tracez ok — %d/%d traces kept, deepest %d spans\n",
 					doc.Occupancy, doc.Capacity, deepest)
 				return nil
 			}
-			if _, fatal := err.(*tracezShapeError); fatal {
+			if _, fatal := err.(*shapeError); fatal {
 				return err
 			}
 		}
@@ -290,20 +278,21 @@ func checkTracez(url string, wait time.Duration, minSpans int, wantRemote bool) 
 	}
 }
 
-// tracezShapeError marks a malformed document — never worth retrying.
-type tracezShapeError struct{ msg string }
+// shapeError marks a malformed /tracez or /sloz document — never worth
+// retrying.
+type shapeError struct{ msg string }
 
-func (e *tracezShapeError) Error() string { return e.msg }
+func (e *shapeError) Error() string { return e.msg }
 
 func shapeErrf(format string, args ...any) error {
-	return &tracezShapeError{msg: fmt.Sprintf(format, args...)}
+	return &shapeError{msg: fmt.Sprintf(format, args...)}
 }
 
 // validateTracez checks the whole document, returning the deepest
-// trace's span count. A shape violation returns *tracezShapeError; a
+// trace's span count. A shape violation returns *shapeError; a
 // merely-too-shallow recorder returns a plain (retryable) error.
 func validateTracez(body []byte, minSpans int, wantRemote bool) (int, error) {
-	var doc tracezDoc
+	var doc obs.TracezDoc
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {

@@ -4,7 +4,6 @@ import (
 	"jitomev/internal/jito"
 	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
-	"jitomev/internal/stats"
 )
 
 // DayAgg aggregates one study day of collected bundles — the per-day
@@ -14,17 +13,13 @@ import (
 // every consumer.
 type DayAgg = snapshot.DayAgg
 
-// Dataset is everything the collector keeps: per-day aggregates and tip
-// histograms for all traffic, plus full records (and later, details) for
-// length-3 bundles only — the same economy the paper used ("we request the
-// detailed transaction information only for bundles of length three",
-// §3.1).
+// Dataset is everything the collector keeps: the collection scope
+// (per-day aggregates and tip histograms for all traffic, and the
+// totals), plus full records (and later, details) for length-3 bundles
+// only — the same economy the paper used ("we request the detailed
+// transaction information only for bundles of length three", §3.1).
 type Dataset struct {
-	Clock solana.Clock
-
-	Days     map[int]*DayAgg
-	TipsLen1 *stats.LogHistogram
-	TipsLen3 *stats.LogHistogram
+	snapshot.Scope
 
 	Len3 []jito.BundleRecord
 	// Long holds records of other retained lengths (4–5) when extended
@@ -39,11 +34,6 @@ type Dataset struct {
 	// fetching. Length 3 is always retained.
 	retain map[int]bool
 
-	// Collected counts every ingested (non-duplicate) bundle; Duplicates
-	// counts page entries already seen.
-	Collected  uint64
-	Duplicates uint64
-
 	seen *dedupWindow
 	// txids owns the TxIDs of every record Ingest retained.
 	txids sigChunks
@@ -57,13 +47,10 @@ func NewDataset(clock solana.Clock, windowSize int) *Dataset {
 		windowSize = 64
 	}
 	return &Dataset{
-		Clock:    clock,
-		Days:     make(map[int]*DayAgg),
-		TipsLen1: stats.NewTipHistogram(),
-		TipsLen3: stats.NewTipHistogram(),
-		Details:  new(jito.DetailSet),
-		retain:   map[int]bool{3: true},
-		seen:     newDedupWindow(windowSize),
+		Scope:   snapshot.NewScope(clock),
+		Details: new(jito.DetailSet),
+		retain:  map[int]bool{3: true},
+		seen:    newDedupWindow(windowSize),
 	}
 }
 
@@ -76,17 +63,6 @@ func (d *Dataset) RetainLengths(lengths ...int) {
 	}
 }
 
-// day returns the aggregate for the record's day, creating it on demand.
-func (d *Dataset) day(rec *jito.BundleRecord) *DayAgg {
-	day := d.Clock.DayOf(rec.Slot)
-	agg, ok := d.Days[day]
-	if !ok {
-		agg = &DayAgg{}
-		d.Days[day] = agg
-	}
-	return agg
-}
-
 // Ingest folds one page entry into the dataset, returning false for
 // duplicates (already collected via an earlier page). A record it
 // retains gets its own copy of TxIDs, so rec may alias a transport's
@@ -96,38 +72,17 @@ func (d *Dataset) Ingest(rec jito.BundleRecord) bool {
 		d.Duplicates++
 		return false
 	}
-	d.Collected++
+	d.Scope.Add(&rec)
 
-	n := rec.NumTxs()
-	agg := d.day(&rec)
-	agg.Bundles++
-	agg.Txs += uint64(n)
-	if n <= jito.MaxBundleTxs {
-		agg.ByLength[n]++
-	}
-
-	switch n {
-	case 1:
-		d.TipsLen1.Add(float64(rec.TipLamps))
-		if rec.Tip() <= solana.DefensiveTipCeiling {
-			agg.DefensiveCount++
-			agg.DefensiveSpend += rec.TipLamps
-		} else {
-			agg.PriorityCount++
-		}
-		// Normally length-1 traffic only feeds the aggregates; a capture
-		// dataset (fleet partition snapshot) opts records in so a merge
-		// can rebuild those aggregates from scratch.
-		if d.retain[1] {
-			d.Long = append(d.Long, d.own(rec))
-		}
-	case 3:
-		d.TipsLen3.Add(float64(rec.TipLamps))
+	// Other lengths normally only feed the aggregates. Extended detection
+	// retains lengths 4–5, and a capture dataset (fleet partition
+	// snapshot) retains length 1 too, so a merge can rebuild the
+	// aggregates from scratch.
+	switch n := rec.NumTxs(); {
+	case n == 3:
 		d.Len3 = append(d.Len3, d.own(rec))
-	default:
-		if d.retain[n] {
-			d.Long = append(d.Long, d.own(rec))
-		}
+	case d.retain[n]:
+		d.Long = append(d.Long, d.own(rec))
 	}
 	return true
 }
@@ -185,15 +140,6 @@ func (d *Dataset) DetailsFor(rec *jito.BundleRecord) ([]jito.TxDetail, bool) {
 // safe to call from concurrent readers once ingestion has finished.
 func (d *Dataset) AppendDetails(dst []jito.TxDetail, rec *jito.BundleRecord) ([]jito.TxDetail, bool) {
 	return d.Details.AppendAligned(dst, rec.TxIDs)
-}
-
-// SortedDays returns the days present, ascending.
-func (d *Dataset) SortedDays() []int {
-	ts := stats.NewTimeSeries()
-	for day := range d.Days {
-		ts.Add(day, 1)
-	}
-	return ts.Days()
 }
 
 // dedupWindow is a fixed-capacity sliding set of bundle ids: membership

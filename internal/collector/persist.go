@@ -1,18 +1,15 @@
 package collector
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
 	"jitomev/internal/snapshot"
-	"jitomev/internal/solana"
 )
-
-// unixNano converts a persisted genesis timestamp back to time.Time.
-func unixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // Dataset persistence: a four-month collection is too valuable to re-run
 // (the paper's actual dataset took four months of wall time to gather),
@@ -29,17 +26,7 @@ func unixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // detail set, no copies. The dedup window is deliberately absent; a loaded dataset
 // resumes collection with a fresh window (see LoadDataset).
 func (d *Dataset) snapshotView() *snapshot.Snapshot {
-	return &snapshot.Snapshot{
-		Genesis:    d.Clock.Genesis.UnixNano(),
-		Days:       d.Days,
-		TipsLen1:   d.TipsLen1,
-		TipsLen3:   d.TipsLen3,
-		Len3:       d.Len3,
-		Long:       d.Long,
-		Details:    d.Details,
-		Collected:  d.Collected,
-		Duplicates: d.Duplicates,
-	}
+	return &snapshot.Snapshot{Scope: d.Scope, Len3: d.Len3, Long: d.Long, Details: d.Details}
 }
 
 // Save writes the dataset to w in the snapshot format (see
@@ -90,36 +77,43 @@ func LoadDatasetObs(r io.Reader, windowSize, workers int, reg *obs.Registry) (*D
 
 // datasetFromSnapshot rebuilds a live dataset around the decoded state.
 func datasetFromSnapshot(snap *snapshot.Snapshot, windowSize int) *Dataset {
-	d := NewDataset(solana.Clock{Genesis: unixNano(snap.Genesis)}, windowSize)
-	if snap.Days != nil {
-		d.Days = snap.Days
+	d := NewDataset(snap.Clock, windowSize)
+	fresh := d.Scope
+	d.Scope = snap.Scope
+	// A resumed dataset ingests into these, so an empty snapshot's nil
+	// ones give way to fresh ones.
+	if d.Days == nil {
+		d.Days = fresh.Days
 	}
-	if snap.TipsLen1 != nil {
-		d.TipsLen1 = snap.TipsLen1
+	if d.TipsLen1 == nil {
+		d.TipsLen1 = fresh.TipsLen1
 	}
-	if snap.TipsLen3 != nil {
-		d.TipsLen3 = snap.TipsLen3
+	if d.TipsLen3 == nil {
+		d.TipsLen3 = fresh.TipsLen3
 	}
 	d.Len3 = snap.Len3
 	d.Long = snap.Long
 	if snap.Details != nil {
 		d.Details = snap.Details
 	}
-	d.Collected = snap.Collected
-	d.Duplicates = snap.Duplicates
-
-	// Re-seed the dedup window with the most recent records so resumed
-	// polling does not double-count the page straddling the checkpoint.
-	reseed := func(recs []jito.BundleRecord) {
-		start := len(recs) - windowSize
-		if start < 0 {
-			start = 0
-		}
-		for _, rec := range recs[start:] {
-			d.seen.add(rec.ID)
-		}
-	}
-	reseed(d.Len3)
-	reseed(d.Long)
+	d.reseed()
 	return d
+}
+
+// reseed fills the dedup window with the most recent retained records —
+// the highest sequence numbers across Len3 and Long, oldest first — so
+// resumed polling does not double-count the page straddling the
+// checkpoint. Each slice is in ingest order, which tracks chain order,
+// so the most recent records sit in their tails; choosing among both
+// tails keeps a large Long section from evicting every length-3 id.
+func (d *Dataset) reseed() {
+	size := len(d.seen.ring)
+	tail := func(recs []jito.BundleRecord) []jito.BundleRecord {
+		return recs[max(len(recs)-size, 0):]
+	}
+	recent := slices.Concat(tail(d.Len3), tail(d.Long))
+	slices.SortFunc(recent, func(a, b jito.BundleRecord) int { return cmp.Compare(a.Seq, b.Seq) })
+	for _, rec := range recent[max(len(recent)-size, 0):] {
+		d.seen.add(rec.ID)
+	}
 }

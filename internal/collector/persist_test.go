@@ -117,6 +117,43 @@ func TestLoadedDatasetResumesWithoutDoubleCounting(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsLen3IdsBesideLargeLong: when the Long section alone
+// fills the dedup window — extended detection, or a capture that retains
+// length 1 — a resumed dataset must still recognise the length-3 records
+// of the page straddling the checkpoint.
+func TestResumeKeepsLen3IdsBesideLargeLong(t *testing.T) {
+	const n, window = 200, 64
+	d := NewDataset(solana.Clock{}, window)
+	d.RetainLengths(4)
+	var recs []jito.BundleRecord
+	for i := 0; i < n; i++ {
+		rec := jito.BundleRecord{Seq: uint64(i), Slot: solana.Slot(i), TxIDs: make([]solana.Signature, 3+i%2)}
+		rec.ID[0], rec.ID[1] = byte(i), byte(i>>8)
+		recs = append(recs, rec)
+		d.Ingest(rec)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDataset(&buf, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.RetainLengths(4)
+
+	// Re-deliver the last page: every record is a duplicate.
+	for _, rec := range recs[n-4:] {
+		if loaded.Ingest(rec) {
+			t.Errorf("record seq %d (length %d) re-ingested after resume", rec.Seq, rec.NumTxs())
+		}
+	}
+	if loaded.Collected != n || len(loaded.Len3) != n/2 || len(loaded.Long) != n/2 {
+		t.Errorf("collected %d, len3 %d, long %d; want %d, %d, %d",
+			loaded.Collected, len(loaded.Len3), len(loaded.Long), n, n/2, n/2)
+	}
+}
+
 func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(bytes.NewReader([]byte("not a gzip")), 64); err == nil {
 		t.Error("garbage accepted")

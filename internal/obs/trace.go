@@ -701,8 +701,9 @@ func (t *Tracer) Occupancy() int {
 	return t.n
 }
 
-// tracezDoc is the /tracez JSON document.
-type tracezDoc struct {
+// TracezDoc is the /tracez JSON document, exported so a client can
+// decode it into the one declaration of its shape.
+type TracezDoc struct {
 	Service   string      `json:"service"`
 	Capacity  int         `json:"capacity"`
 	Occupancy int         `json:"occupancy"`
@@ -723,7 +724,7 @@ func (t *Tracer) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		doc := tracezDoc{
+		doc := TracezDoc{
 			Service:   t.cfg.Service,
 			Capacity:  t.cfg.Capacity,
 			Occupancy: t.Occupancy(),

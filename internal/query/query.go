@@ -27,7 +27,6 @@ import (
 	"os"
 	"runtime"
 
-	"jitomev/internal/collector"
 	"jitomev/internal/core"
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
@@ -120,9 +119,8 @@ func Run(r io.Reader, opts Options) (*report.Results, *Stats, error) {
 // shardResult is one shard's detection output, computed on the decode
 // pool and folded in shard order.
 type shardResult struct {
-	inRange int // records surviving the day restriction
-	len3    report.Len3Partial
-	long    report.LongPartial
+	len3 report.Len3Partial
+	long report.LongPartial
 }
 
 // heapSampleEvery bounds how often the fold pays for a
@@ -151,9 +149,8 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 	}
 
 	var (
-		a           *report.Accumulator
-		len3InRange int
-		folds       int
+		a     *report.Accumulator
+		folds int
 	)
 
 	scanOpts := snapshot.ScanOptions{
@@ -181,16 +178,6 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 		},
 		Map: func(sec snapshot.Section, m snapshot.ShardMeta, b *snapshot.Batch) (any, error) {
 			sr := &shardResult{}
-			if opts.Days == nil {
-				sr.inRange = len(b.Recs)
-			} else {
-				clock := a.Clock()
-				for i := range b.Recs {
-					if opts.Days.Contains(clock.DayOf(b.Recs[i].Slot)) {
-						sr.inRange++
-					}
-				}
-			}
 			src := batchSource(b)
 			switch sec {
 			case snapshot.SectionLen3:
@@ -204,8 +191,11 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 
 	span := reg.StartSpan("query_scan")
 	sampleHeap()
-	err := snapshot.Scan(r, scanOpts, func(p *snapshot.Prelude) error {
-		a = newAccumulator(p, det, opts)
+	err := snapshot.Scan(r, scanOpts, func(sc *snapshot.Scope) error {
+		a = report.NewAccumulator(det, opts.SOLPriceUSD, sc)
+		if opts.Days != nil {
+			a.Restrict(opts.Days.Lo, opts.Days.Hi)
+		}
 		return nil
 	}, func(sec snapshot.Section, m snapshot.ShardMeta, _ *snapshot.Batch, mapped any) error {
 		if mapped == nil { // pruned
@@ -220,7 +210,6 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 		sr := mapped.(*shardResult)
 		switch sec {
 		case snapshot.SectionLen3:
-			len3InRange += sr.inRange
 			a.FoldLen3(sr.len3)
 		case snapshot.SectionLong:
 			a.FoldLong(sr.long)
@@ -238,44 +227,7 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 	reg.Counter("query_bytes_decoded_total").Add(uint64(st.BytesDecoded))
 	reg.Counter("query_bytes_skipped_total").Add(uint64(st.BytesSkipped))
 
-	res := a.Finish(reg)
-	// The prelude cannot know how many length-3 records survive a day
-	// restriction; the scan counted them.
-	res.Len3Bundles = uint64(len3InRange)
-	return res, nil
-}
-
-// newAccumulator scopes the fold to the query: full-range queries carry
-// the prelude through untouched, day-restricted ones recompute the
-// collection totals from the surviving days (and restrict detection to
-// matching records).
-func newAccumulator(p *snapshot.Prelude, det *core.Detector, opts Options) *report.Accumulator {
-	sc := report.Scope{
-		Clock:      p.Clock(),
-		Days:       p.Days,
-		TipsLen1:   p.TipsLen1,
-		TipsLen3:   p.TipsLen3,
-		Collected:  p.Collected,
-		Duplicates: p.Duplicates,
-	}
-	if opts.Days != nil {
-		sc.Collected = 0
-		sc.Days = nil
-		for d, agg := range p.Days {
-			if opts.Days.Contains(d) {
-				if sc.Days == nil {
-					sc.Days = make(map[int]*collector.DayAgg)
-				}
-				sc.Days[d] = agg
-				sc.Collected += agg.Bundles
-			}
-		}
-	}
-	a := report.NewAccumulator(det, opts.SOLPriceUSD, sc)
-	if opts.Days != nil {
-		a.Restrict(opts.Days.Lo, opts.Days.Hi)
-	}
-	return a
+	return a.Finish(reg), nil
 }
 
 // batchSource adapts a decoded shard to the fold's DetailSource.

@@ -110,15 +110,7 @@ func AnalyzeN(data *collector.Dataset, det *core.Detector, solPriceUSD float64, 
 // the stage durations are volatile.
 func AnalyzeObs(data *collector.Dataset, det *core.Detector, solPriceUSD float64, workers int, reg *obs.Registry) *Results {
 	workers = parallel.Workers(workers)
-	a := NewAccumulator(det, solPriceUSD, Scope{
-		Clock:       data.Clock,
-		Days:        data.Days,
-		TipsLen1:    data.TipsLen1,
-		TipsLen3:    data.TipsLen3,
-		Collected:   data.Collected,
-		Duplicates:  data.Duplicates,
-		Len3Bundles: uint64(len(data.Len3)),
-	})
+	a := NewAccumulator(det, solPriceUSD, &data.Scope)
 
 	// When a tracer rides the registry, the whole pass is one trace with
 	// per-stage child spans — the overhead budget BENCH_trace.json

@@ -1,27 +1,28 @@
 package report
 
 import (
-	"sort"
 	"sync"
 
-	"jitomev/internal/collector"
 	"jitomev/internal/core"
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
+	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
 
-// This file holds the detection fold shared by the in-memory analysis
-// (AnalyzeObs) and the out-of-core streaming engine (internal/query).
-// Both drive the same Accumulator: detection — the pure per-bundle work —
-// runs in Detect* calls that are safe to issue concurrently over disjoint
-// record ranges, while every order-sensitive statistic (verdict ordering,
-// float accumulation, time-series and ECDF samples) is folded by Fold*
-// calls issued on one goroutine in record index order. Feeding the same
-// records through in the same order therefore yields bit-identical
-// Results whether they came from a resident Dataset or from decoded
-// snapshot shards.
+// This file holds the detection fold shared by the three drivers: the
+// in-memory analysis (AnalyzeObs), the out-of-core query engine
+// (internal/query) and the incremental stream engine (internal/stream).
+// All three drive the same Accumulator over the same collection scope:
+// detection — the pure per-bundle work — runs in Detect* calls that are
+// safe to issue concurrently over disjoint record ranges, while every
+// order-sensitive statistic (verdict ordering, float accumulation,
+// time-series and ECDF samples) is folded by Fold* calls issued on one
+// goroutine in record index order. Feeding the same records through in
+// the same order therefore yields bit-identical Results whether they
+// came from a resident Dataset, from decoded snapshot shards or from a
+// live feed.
 
 // DetailSource resolves record i's aligned transaction details,
 // reporting whether every member's detail is present — the
@@ -54,19 +55,6 @@ func putScratch(buf *[]jito.TxDetail) {
 	scratchPool.Put(buf)
 }
 
-// Scope seeds an Accumulator with the dataset-level aggregates that need
-// no detection pass: collection scalars, the per-day aggregates, and the
-// tip histograms. A streaming reader obtains all of these from a
-// snapshot's header sections before any shard is decoded.
-type Scope struct {
-	Clock              solana.Clock
-	Days               map[int]*collector.DayAgg
-	TipsLen1, TipsLen3 *stats.LogHistogram
-	Collected          uint64
-	Duplicates         uint64
-	Len3Bundles        uint64 // length-3 records in scope (sizes preallocations)
-}
-
 // Accumulator folds detection output into Results. Construct with
 // NewAccumulator, feed DetectLen3/DetectLong partials to FoldLen3/
 // FoldLong in record index order, then call Finish exactly once.
@@ -75,7 +63,8 @@ type Scope struct {
 type Accumulator struct {
 	r          *Results
 	det        *core.Detector
-	clock      solana.Clock
+	clock      solana.Clock // the scope's, copied: Detect* must not read a scope being replaced
+	scope      *snapshot.Scope
 	rejections [core.NumCriteria]uint64
 
 	lossUSD      []float64
@@ -86,34 +75,18 @@ type Accumulator struct {
 	dayHi      int
 }
 
-// NewAccumulator builds the Results skeleton from sc and returns the
-// accumulator that will fill in the detection-derived statistics.
-// solPriceUSD ≤ 0 selects the paper's rate.
-func NewAccumulator(det *core.Detector, solPriceUSD float64, sc Scope) *Accumulator {
-	a := NewLiveAccumulator(det, solPriceUSD, sc.Clock)
-	// Size the verdict buffers from the known length-3 population —
-	// a capacity-only improvement over the live path's lazy growth.
-	est := verdictEst(int(sc.Len3Bundles))
-	a.r.Verdicts = make([]core.Verdict, 0, est)
-	a.lossUSD = make([]float64, 0, est)
-	a.sandwichTips = make([]float64, 0, est)
-	a.SeedScope(sc)
-	return a
-}
-
-// NewLiveAccumulator builds an accumulator whose Scope is not known yet —
-// the shape of an incremental feed, where collection aggregates are still
-// accumulating while detection folds run. The clock must be supplied up
-// front (Detect* maps slots to study days); everything else arrives via
-// SeedScope, which must be called exactly once before Finish. Fold order
-// and scope seeding touch disjoint Results fields, so an accumulator
-// built this way produces bit-identical Results to NewAccumulator over
-// the same records and the same final Scope.
-func NewLiveAccumulator(det *core.Detector, solPriceUSD float64, clock solana.Clock) *Accumulator {
+// NewAccumulator returns the accumulator that folds detection output
+// over the collection scope sc. The clock is read now (Detect* maps
+// slots to study days with it); the rest of sc is read by Finish, so a
+// live feed may keep adding to it until then. solPriceUSD ≤ 0 selects
+// the paper's rate.
+func NewAccumulator(det *core.Detector, solPriceUSD float64, sc *snapshot.Scope) *Accumulator {
 	if solPriceUSD <= 0 {
 		solPriceUSD = stats.SOLPriceUSD
 	}
-	est := verdictEst(0)
+	// Size the verdict buffers from the length-3 population known so
+	// far; a live feed starts from zero and grows them.
+	est := verdictEst(int(sc.Len3()))
 	r := &Results{
 		AttacksByDay: stats.NewTimeSeries(),
 		LossSOLByDay: stats.NewTimeSeries(),
@@ -125,23 +98,22 @@ func NewLiveAccumulator(det *core.Detector, solPriceUSD float64, clock solana.Cl
 	return &Accumulator{
 		r:            r,
 		det:          det,
-		clock:        clock,
+		clock:        sc.Clock,
+		scope:        sc,
 		lossUSD:      make([]float64, 0, est),
 		sandwichTips: make([]float64, 0, est),
 	}
 }
 
-// SeedScope folds the dataset-level aggregates into the results. Called
-// by NewAccumulator at construction; a live accumulator calls it once the
-// feed has completed, any time before Finish. The fields it writes are
-// disjoint from everything Fold* touches, so its ordering relative to the
-// folds cannot perturb the output.
-func (a *Accumulator) SeedScope(sc Scope) {
-	r := a.r
+// seedScope folds the collection scope into the results. The fields it
+// writes are disjoint from everything Fold* touches, so running it at
+// Finish cannot perturb the folds.
+func (a *Accumulator) seedScope() {
+	r, sc := a.r, a.scope
 	r.TotalBundles = sc.Collected
-	r.Len3Bundles = sc.Len3Bundles
+	r.Len3Bundles = sc.Len3()
 	r.BundlesByDay = sc.Days
-	r.CollectedDays = sortedDays(sc.Days)
+	r.CollectedDays = sc.SortedDays()
 	r.TipsLen1 = sc.TipsLen1
 	r.TipsLen3 = sc.TipsLen3
 	if sc.Duplicates+sc.Collected > 0 {
@@ -160,17 +132,15 @@ func (a *Accumulator) SeedScope(sc Scope) {
 	}
 }
 
-// Clock returns the chain clock the accumulator maps slots to study
-// days with.
-func (a *Accumulator) Clock() solana.Clock { return a.clock }
-
-// Restrict limits detection to records whose study day falls in
-// [lo, hi]; out-of-range records are skipped before their details are
-// resolved, exactly as if they were absent from the dataset. Must be set
-// before any Detect call. The caller is responsible for restricting the
-// Scope (days map, histograms, totals) to the same range.
+// Restrict limits the results to study days [lo, hi]: detection skips
+// out-of-range records before their details are resolved, exactly as if
+// they were absent from the dataset, and the scope is cut to the same
+// days (snapshot.Scope.Restrict) as it stands now. Must be set before
+// any Detect call.
 func (a *Accumulator) Restrict(lo, hi int) {
 	a.restricted, a.dayLo, a.dayHi = true, lo, hi
+	sc := a.scope.Restrict(lo, hi)
+	a.scope = &sc
 }
 
 // inRange reports whether a record's slot survives the day restriction.
@@ -305,6 +275,7 @@ func (a *Accumulator) record(v core.Verdict, day int) {
 // the detection counters onto reg (nil = uninstrumented), and builds the
 // derived statistics. Call exactly once, after every fold.
 func (a *Accumulator) Finish(reg *obs.Registry) *Results {
+	a.seedScope()
 	r := a.r
 	// Export the fixed-size rejection tally as the map the boundary (and
 	// renderers) expect; the serial map never held zero-count entries, so
@@ -332,15 +303,4 @@ func (a *Accumulator) Finish(reg *obs.Registry) *Results {
 	r.LossUSD = stats.NewECDF(a.lossUSD)
 	r.TipsSandwich = stats.NewECDF(a.sandwichTips)
 	return r
-}
-
-// sortedDays returns the keys of a day-aggregate map, ascending — the
-// same set collector.Dataset.SortedDays reports.
-func sortedDays(days map[int]*collector.DayAgg) []int {
-	out := make([]int, 0, len(days))
-	for d := range days {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"jitomev/internal/collector"
 	"jitomev/internal/core"
+	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
@@ -15,7 +16,7 @@ import (
 // and rejection map, zero counts, no division by zero.
 func TestFinishWithNoFolds(t *testing.T) {
 	det := core.NewDefaultDetector()
-	r := NewAccumulator(det, 0, Scope{Clock: solana.Clock{}}).Finish(nil)
+	r := NewAccumulator(det, 0, &snapshot.Scope{}).Finish(nil)
 
 	if r.Sandwiches != 0 || r.TotalBundles != 0 || r.Len3WithDetails != 0 {
 		t.Errorf("empty accumulator produced counts: %d sandwiches, %d bundles", r.Sandwiches, r.TotalBundles)
@@ -43,29 +44,31 @@ func TestFinishWithNoFolds(t *testing.T) {
 	}
 }
 
-// TestLiveAccumulatorMatchesBatchConstruction: NewAccumulator is
-// NewLiveAccumulator + SeedScope plus capacity hints; given the same
-// scope and no folds, Finish must be bit-identical — the property the
-// streaming engine's deferred scope seeding rests on.
+// TestLiveAccumulatorMatchesBatchConstruction: Finish reads the scope,
+// not NewAccumulator; an accumulator built over an empty scope that is
+// filled before Finish must be bit-identical to one built over the
+// filled scope — the property the streaming engine's live scope rests
+// on.
 func TestLiveAccumulatorMatchesBatchConstruction(t *testing.T) {
 	det := core.NewDefaultDetector()
 	clock := solana.Clock{}
 	days := map[int]*collector.DayAgg{
-		0: {Bundles: 10, Txs: 17, DefensiveCount: 4, PriorityCount: 2, DefensiveSpend: 40_000},
+		0: {Bundles: 10, Txs: 17, ByLength: [6]uint64{3: 2}, DefensiveCount: 4, PriorityCount: 2, DefensiveSpend: 40_000},
 		2: {Bundles: 5, Txs: 9, DefensiveCount: 1, PriorityCount: 1, DefensiveSpend: 9_000},
 	}
 	tips1, tips3 := stats.NewTipHistogram(), stats.NewTipHistogram()
 	tips1.Add(5_000)
 	tips3.Add(1_200)
-	sc := Scope{
+	sc := snapshot.Scope{
 		Clock: clock, Days: days, TipsLen1: tips1, TipsLen3: tips3,
-		Collected: 15, Duplicates: 3, Len3Bundles: 2,
+		Collected: 15, Duplicates: 3,
 	}
 
-	batch := NewAccumulator(det, 0, sc).Finish(nil)
+	batch := NewAccumulator(det, 0, &sc).Finish(nil)
 
-	live := NewLiveAccumulator(det, 0, clock)
-	live.SeedScope(sc)
+	liveScope := snapshot.NewScope(clock)
+	live := NewAccumulator(det, 0, &liveScope)
+	liveScope = sc
 	got := live.Finish(nil)
 
 	if !reflect.DeepEqual(batch, got) {

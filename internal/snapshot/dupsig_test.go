@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/solana"
@@ -21,9 +20,8 @@ func writeWithOrphans(tb testing.TB, s *Snapshot, orphans []jito.TxDetail) []byt
 	bw := &writer{w: bufio.NewWriter(&buf), m: &snapObs{}}
 	bw.bytes([]byte(MagicV3))
 	bw.headerSections(s)
-	clock := solana.Clock{Genesis: time.Unix(0, s.Genesis).UTC()}
-	bw.bundleSection(secBundles3, s.Len3, s.Details, clock, 1)
-	bw.bundleSection(secBundlesLong, s.Long, s.Details, clock, 1)
+	bw.bundleSection(secBundles3, s.Len3, s.Details, s.Clock, 1)
+	bw.bundleSection(secBundlesLong, s.Long, s.Details, s.Clock, 1)
 	set := new(jito.DetailSet)
 	sigs := make([]solana.Signature, len(orphans))
 	for i := range orphans {
@@ -31,7 +29,7 @@ func writeWithOrphans(tb testing.TB, s *Snapshot, orphans []jito.TxDetail) []byt
 		sigs[i] = orphans[i].Sig
 	}
 	bw.sectionV3(secOrphans, len(sigs), orphanShardSize, 1, true, func(lo, hi int) ([]byte, ShardMeta, error) {
-		return encodeOrphanShard(sigs[lo:hi], set, clock)
+		return encodeOrphanShard(sigs[lo:hi], set, s.Clock)
 	})
 	bw.byte1(secEnd)
 	if bw.err == nil {

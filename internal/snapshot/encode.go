@@ -6,7 +6,6 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"io"
-	"sort"
 	"sync"
 
 	"jitomev/internal/jito"
@@ -108,18 +107,14 @@ func (w *writer) headerSections(s *Snapshot) {
 	// meta: three fixed uint64s.
 	w.section(secMeta, 1, 1, func(_, _ int) ([]byte, error) {
 		raw := make([]byte, 0, 24)
-		raw = appendU64(raw, uint64(s.Genesis))
+		raw = appendU64(raw, uint64(s.Clock.Genesis.UnixNano()))
 		raw = appendU64(raw, s.Collected)
 		raw = appendU64(raw, s.Duplicates)
 		return raw, nil
 	})
 
 	// days, ascending.
-	days := make([]int, 0, len(s.Days))
-	for d := range s.Days {
-		days = append(days, d)
-	}
-	sort.Ints(days)
+	days := s.SortedDays()
 	w.section(secDays, len(days), len(days)+1, func(lo, hi int) ([]byte, error) {
 		raw := make([]byte, 0, 32*(hi-lo))
 		for _, d := range days[lo:hi] {

@@ -66,7 +66,7 @@ func FuzzScan(f *testing.F) {
 	for _, n := range []int{0, 4, len(MagicV3), len(MagicV3) + 1, 64, 512, len(good) / 3, len(good) / 2, len(good) - 9, len(good) - 1} {
 		f.Add(good[:n])
 	}
-	f.Add(fuzzSeed(f, &Snapshot{Genesis: 42}))
+	f.Add(fuzzSeed(f, &Snapshot{Scope: genesisAt(42)}))
 	dup, _, _ := dupSigFile(f)
 	f.Add(dup)
 	f.Add(hostileShardCount(f))

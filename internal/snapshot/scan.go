@@ -10,33 +10,16 @@ import (
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
 	"jitomev/internal/parallel"
-	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
 
 // Streaming scan over a snapshot: the out-of-core read path. The
-// caller sees the prelude (every aggregate stored ahead of the bundle
-// sections) once, then one fold call per shard in file order. Frames
+// caller sees the prelude (the Scope, every aggregate stored ahead of
+// the bundle sections) once, then one fold call per shard in file order. Frames
 // are read serially; shard payloads are decompressed and decoded on a
 // parallel.Ordered pool, one per section, so peak live memory is
 // proportional to the pool's window × shard size and independent of
 // the dataset.
-
-// Prelude is everything a snapshot stores ahead of the streaming
-// sections — small aggregates a bounded-memory pass can hold whole.
-type Prelude struct {
-	Genesis    int64 // UnixNano of the chain clock genesis
-	Collected  uint64
-	Duplicates uint64
-	Days       map[int]*DayAgg
-	TipsLen1   *stats.LogHistogram
-	TipsLen3   *stats.LogHistogram
-}
-
-// Clock rebuilds the chain clock the snapshot was aggregated under.
-func (p *Prelude) Clock() solana.Clock {
-	return solana.Clock{Genesis: unixNanoTime(p.Genesis)}
-}
 
 // Section identifies which streaming section a shard belongs to.
 type Section byte
@@ -124,7 +107,7 @@ type ScanOptions struct {
 
 // Scan streams a snapshot from r: prelude once, then one fold call per
 // shard of the len3, long and orphans sections, in file order.
-func Scan(r io.Reader, opts ScanOptions, prelude func(*Prelude) error, fold ScanFold) error {
+func Scan(r io.Reader, opts ScanOptions, prelude func(*Scope) error, fold ScanFold) error {
 	m := newSnapObs(opts.Reg, "scan")
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -162,8 +145,8 @@ func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err erro
 }
 
 // scanSections walks the body (everything after the magic).
-func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn func(*Prelude) error, fold ScanFold) error {
-	p := &Prelude{}
+func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn func(*Scope) error, fold ScanFold) error {
+	p := &Scope{}
 
 	shards, total, err := readSectionHeader(br, secMeta)
 	if err != nil {
@@ -173,7 +156,7 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 		if len(raw) != 24 {
 			return corrupt("meta payload %d bytes, want 24", len(raw))
 		}
-		p.Genesis = int64(binary.LittleEndian.Uint64(raw[0:]))
+		p.Clock.Genesis = time.Unix(0, int64(binary.LittleEndian.Uint64(raw[0:]))).UTC()
 		p.Collected = binary.LittleEndian.Uint64(raw[8:])
 		p.Duplicates = binary.LittleEndian.Uint64(raw[16:])
 		return nil
@@ -456,13 +439,8 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 			return nil
 		},
 	}
-	err := scanSections(br, &opts, m, func(p *Prelude) error {
-		s.Genesis = p.Genesis
-		s.Collected = p.Collected
-		s.Duplicates = p.Duplicates
-		s.Days = p.Days
-		s.TipsLen1 = p.TipsLen1
-		s.TipsLen3 = p.TipsLen3
+	err := scanSections(br, &opts, m, func(p *Scope) error {
+		s.Scope = *p
 		return nil
 	}, func(sec Section, m ShardMeta, b *Batch, _ any) error {
 		if first && m.Items > 0 {
@@ -489,6 +467,3 @@ func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
 	}
 	return s, nil
 }
-
-// unixNanoTime converts a persisted genesis back to wall time.
-func unixNanoTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }

@@ -61,16 +61,15 @@ func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapsh
 // orphans alike — while every shard's metadata agrees with its contents.
 func TestScanRoundTrip(t *testing.T) {
 	s := alignedSnapshot(22, 3*bundleShardSize+17, 11, 0.85)
-	clock := solana.Clock{Genesis: unixNanoTime(s.Genesis)}
+	clock := s.Clock
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	got := &Snapshot{Details: new(jito.DetailSet)}
-	err := Scan(&buf, ScanOptions{Workers: 4}, func(p *Prelude) error {
-		got.Genesis, got.Collected, got.Duplicates = p.Genesis, p.Collected, p.Duplicates
-		got.Days, got.TipsLen1, got.TipsLen3 = p.Days, p.TipsLen1, p.TipsLen3
+	err := Scan(&buf, ScanOptions{Workers: 4}, func(p *Scope) error {
+		got.Scope = *p
 		return nil
 	}, func(sec Section, m ShardMeta, b *Batch, _ any) error {
 		if b == nil {
@@ -136,7 +135,7 @@ func TestScanPruneDays(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := 4, 7
-	clock := solana.Clock{Genesis: unixNanoTime(s.Genesis)}
+	clock := s.Clock
 
 	pruned, scanned := 0, 0
 	var kept []jito.BundleRecord

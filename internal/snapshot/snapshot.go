@@ -113,8 +113,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"jitomev/internal/jito"
+	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
 
@@ -181,20 +183,120 @@ type DayAgg struct {
 	DefensiveSpend uint64 // lamports
 }
 
+// Scope is the collection scope: what the collector aggregates over all
+// traffic, ahead of and apart from the records it retains (§3.1) — the
+// chain clock, the per-day aggregates, the tip histograms of length-1
+// and length-3 bundles, and the collection totals. Figures 1 and 4 and
+// the dataset-scope statistics read nothing else. The dataset, the
+// snapshot, a scan's prelude and a stream engine each hold one.
+type Scope struct {
+	Clock solana.Clock
+
+	Days     map[int]*DayAgg
+	TipsLen1 *stats.LogHistogram
+	TipsLen3 *stats.LogHistogram
+
+	// Collected counts every ingested (non-duplicate) bundle; Duplicates
+	// counts deliveries already seen.
+	Collected  uint64
+	Duplicates uint64
+}
+
+// Prelude is the scope as a scan delivers it, ahead of the streaming
+// sections; perfbench names it.
+type Prelude = Scope
+
+// NewScope returns an empty scope under clock, ready for Add.
+func NewScope(clock solana.Clock) Scope {
+	return Scope{
+		Clock:    clock,
+		Days:     make(map[int]*DayAgg),
+		TipsLen1: stats.NewTipHistogram(),
+		TipsLen3: stats.NewTipHistogram(),
+	}
+}
+
+// Add folds one collected (non-duplicate) bundle into the scope: the
+// per-day counts, the defensive/priority split of length-1 bundles
+// (paper §3.3, applied here so they never need to be retained) and the
+// tip histograms. It is the only writer of ByLength.
+func (s *Scope) Add(rec *jito.BundleRecord) {
+	s.Collected++
+	n := rec.NumTxs()
+	day := s.Clock.DayOf(rec.Slot)
+	agg, ok := s.Days[day]
+	if !ok {
+		agg = &DayAgg{}
+		s.Days[day] = agg
+	}
+	agg.Bundles++
+	agg.Txs += uint64(n)
+	if n <= jito.MaxBundleTxs {
+		agg.ByLength[n]++
+	}
+	switch n {
+	case 1:
+		s.TipsLen1.Add(float64(rec.TipLamps))
+		if rec.Tip() <= solana.DefensiveTipCeiling {
+			agg.DefensiveCount++
+			agg.DefensiveSpend += rec.TipLamps
+		} else {
+			agg.PriorityCount++
+		}
+	case 3:
+		s.TipsLen3.Add(float64(rec.TipLamps))
+	}
+}
+
+// SortedDays returns the days present, ascending (empty, never nil).
+func (s *Scope) SortedDays() []int {
+	days := make([]int, 0, len(s.Days))
+	for d := range s.Days {
+		days = append(days, d)
+	}
+	sort.Ints(days)
+	return days
+}
+
+// Len3 counts the length-3 bundles in scope. Add counts a length-3
+// bundle here exactly when the dataset retains its record, so this is
+// the length-3 record count of whatever the scope covers.
+func (s *Scope) Len3() uint64 {
+	var n uint64
+	for _, agg := range s.Days {
+		n += agg.ByLength[3]
+	}
+	return n
+}
+
+// Restrict returns the scope cut to study days [lo, hi]: the days
+// outside dropped (nil when none survive) and Collected recounted from
+// the survivors. The tip histograms and Duplicates have no per-day
+// breakdown and stay whole.
+func (s *Scope) Restrict(lo, hi int) Scope {
+	out := *s
+	out.Days, out.Collected = nil, 0
+	for d, agg := range s.Days {
+		if d < lo || d > hi {
+			continue
+		}
+		if out.Days == nil {
+			out.Days = make(map[int]*DayAgg)
+		}
+		out.Days[d] = agg
+		out.Collected += agg.Bundles
+	}
+	return out
+}
+
 // Snapshot is the persisted view of a dataset: collection results only,
 // shared (not copied) with the live collector.Dataset. Transient
 // machinery like the dedup window restarts fresh on load.
 type Snapshot struct {
-	Genesis  int64 // UnixNano of the chain clock genesis
-	Days     map[int]*DayAgg
-	TipsLen1 *stats.LogHistogram
-	TipsLen3 *stats.LogHistogram
-	Len3     []jito.BundleRecord
-	Long     []jito.BundleRecord
-	Details  *jito.DetailSet
-
-	Collected  uint64
-	Duplicates uint64
+	Scope
+	Len3    []jito.BundleRecord
+	Long    []jito.BundleRecord
+	Details *jito.DetailSet
 }
 
 // zigzag encoding for signed varints.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/solana"
@@ -61,19 +62,20 @@ func randDetail(rng *rand.Rand, maxDeltas int) jito.TxDetail {
 	return det
 }
 
+// genesisAt is the scope of an empty snapshot whose clock starts ns
+// nanoseconds after the Unix epoch.
+func genesisAt(ns int64) Scope {
+	return Scope{Clock: solana.Clock{Genesis: time.Unix(0, ns).UTC()}}
+}
+
 // testSnapshot builds a randomized snapshot big enough to span several
 // shards when shardSize is small relative to n.
 func testSnapshot(seed int64, nRecords, nDetails int) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
-	s := &Snapshot{
-		Genesis:    1_700_000_000_000_000_000,
-		Days:       make(map[int]*DayAgg),
-		TipsLen1:   stats.NewTipHistogram(),
-		TipsLen3:   stats.NewTipHistogram(),
-		Details:    new(jito.DetailSet),
-		Collected:  12345678,
-		Duplicates: 999,
-	}
+	s := &Snapshot{Scope: genesisAt(1_700_000_000_000_000_000), Details: new(jito.DetailSet)}
+	s.Days = make(map[int]*DayAgg)
+	s.TipsLen1, s.TipsLen3 = stats.NewTipHistogram(), stats.NewTipHistogram()
+	s.Collected, s.Duplicates = 12345678, 999
 	for d := 0; d < 7; d++ {
 		agg := &DayAgg{Bundles: rng.Uint64() >> 32, Txs: rng.Uint64() >> 32,
 			DefensiveCount: uint64(rng.Intn(1000)), PriorityCount: uint64(rng.Intn(1000)),
@@ -112,11 +114,11 @@ func histEqual(a, b *stats.LogHistogram) bool {
 
 func snapshotsEqual(t *testing.T, want, got *Snapshot) {
 	t.Helper()
-	if got.Genesis != want.Genesis || got.Collected != want.Collected ||
+	if got.Clock != want.Clock || got.Collected != want.Collected ||
 		got.Duplicates != want.Duplicates {
-		t.Errorf("scalars diverge: %d/%d/%d vs %d/%d/%d",
-			got.Genesis, got.Collected, got.Duplicates,
-			want.Genesis, want.Collected, want.Duplicates)
+		t.Errorf("scalars diverge: %v/%d/%d vs %v/%d/%d",
+			got.Clock.Genesis, got.Collected, got.Duplicates,
+			want.Clock.Genesis, want.Collected, want.Duplicates)
 	}
 	if len(got.Days) != len(want.Days) {
 		t.Fatalf("days: %d vs %d", len(got.Days), len(want.Days))
@@ -208,7 +210,7 @@ func TestWriteByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestEmptySnapshotRoundTrip(t *testing.T) {
-	s := &Snapshot{Genesis: 42} // nil maps, nil slices, nil histograms
+	s := &Snapshot{Scope: genesisAt(42)} // nil maps, nil slices, nil histograms
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
 		t.Fatal(err)
@@ -217,7 +219,7 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Genesis != 42 || got.TipsLen1 != nil || got.TipsLen3 != nil ||
+	if got.Clock != genesisAt(42).Clock || got.TipsLen1 != nil || got.TipsLen3 != nil ||
 		got.Len3 != nil || got.Long != nil || len(got.Days) != 0 {
 		t.Errorf("empty snapshot mutated on round trip: %+v", got)
 	}
@@ -314,7 +316,7 @@ func TestReadRejectsHostileLengths(t *testing.T) {
 func TestRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 60; iter++ {
-		s := &Snapshot{Genesis: rng.Int63()}
+		s := &Snapshot{Scope: genesisAt(rng.Int63())}
 		if rng.Intn(4) > 0 {
 			s.Details = new(jito.DetailSet)
 			for i, n := 0, rng.Intn(50); i < n; i++ {

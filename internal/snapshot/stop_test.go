@@ -19,7 +19,7 @@ import (
 // that promise a section no honest writer could fit in them.
 func hostileShardCount(tb testing.TB) []byte {
 	tb.Helper()
-	empty := fuzzSeed(tb, &Snapshot{Genesis: 42})
+	empty := fuzzSeed(tb, &Snapshot{Scope: genesisAt(42)})
 	// An empty file ends with the len3, long and orphans headers (id,
 	// zero shards, zero items) and the terminator.
 	at := len(empty) - 10
@@ -50,9 +50,8 @@ func manyShardFile(tb testing.TB, n int) []byte {
 	bw := &writer{w: bufio.NewWriter(&buf), m: &snapObs{}}
 	bw.bytes([]byte(MagicV3))
 	bw.headerSections(s)
-	clock := solana.Clock{Genesis: time.Unix(0, s.Genesis).UTC()}
 	bw.sectionV3(secBundles3, n, 2, 1, true, func(lo, hi int) ([]byte, ShardMeta, error) {
-		return encodeBundleShard(s.Len3[lo:hi], s.Details, clock)
+		return encodeBundleShard(s.Len3[lo:hi], s.Details, s.Clock)
 	})
 	bw.sectionV3(secBundlesLong, 0, 1, 1, true, nil)
 	bw.sectionV3(secOrphans, 0, 1, 1, true, nil)
@@ -121,8 +120,8 @@ func TestHostileShardCountStaysCheap(t *testing.T) {
 // must reserve no more than maxReserve entries before the missing
 // shards fail the read.
 func TestHostileItemClaimCapsDetailIndex(t *testing.T) {
-	empty := fuzzSeed(t, &Snapshot{Genesis: 42})
-	one := &Snapshot{Genesis: 42, Details: new(jito.DetailSet)}
+	empty := fuzzSeed(t, &Snapshot{Scope: genesisAt(42)})
+	one := &Snapshot{Scope: genesisAt(42), Details: new(jito.DetailSet)}
 	one.Details.Put(jito.TxDetail{Sig: solana.Signature{1}, Slot: 5})
 	honest := fuzzSeed(t, one)
 	// Both files end with the orphans header, one shard claiming one

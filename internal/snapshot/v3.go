@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"time"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/parallel"
@@ -25,9 +24,8 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw.bytes([]byte(MagicV3))
 	bw.headerSections(s)
 
-	clock := solana.Clock{Genesis: time.Unix(0, s.Genesis).UTC()}
-	bw.bundleSection(secBundles3, s.Len3, s.Details, clock, workers)
-	bw.bundleSection(secBundlesLong, s.Long, s.Details, clock, workers)
+	bw.bundleSection(secBundles3, s.Len3, s.Details, s.Clock, workers)
+	bw.bundleSection(secBundlesLong, s.Long, s.Details, s.Clock, workers)
 
 	// Orphans: details no retained record references, kept so the detail
 	// set round-trips exactly. Signature-sorted, which makes the shard
@@ -54,7 +52,7 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 		return bytes.Compare(a[:], b[:])
 	})
 	bw.sectionV3(secOrphans, len(orphans), orphanShardSize, workers, true, func(lo, hi int) ([]byte, ShardMeta, error) {
-		return encodeOrphanShard(orphans[lo:hi], s.Details, clock)
+		return encodeOrphanShard(orphans[lo:hi], s.Details, s.Clock)
 	})
 
 	bw.byte1(secEnd)

@@ -7,7 +7,7 @@ import (
 
 	"jitomev/internal/collector"
 	"jitomev/internal/jito"
-	"jitomev/internal/report"
+	"jitomev/internal/snapshot"
 )
 
 // Replay support: driving the engine from an already-collected dataset —
@@ -16,19 +16,9 @@ import (
 // collection aggregates, so the engine imports them (SetScope) instead of
 // re-deriving scope from the record subset it replays.
 
-// ScopeOf packages a dataset's collection aggregates as the engine's
-// replay scope — the same mapping report.Analyze applies internally.
-func ScopeOf(data *collector.Dataset) report.Scope {
-	return report.Scope{
-		Clock:       data.Clock,
-		Days:        data.Days,
-		TipsLen1:    data.TipsLen1,
-		TipsLen3:    data.TipsLen3,
-		Collected:   data.Collected,
-		Duplicates:  data.Duplicates,
-		Len3Bundles: uint64(len(data.Len3)),
-	}
-}
+// ScopeOf returns a dataset's collection scope, the engine's replay
+// scope — the same one report.Analyze folds.
+func ScopeOf(data *collector.Dataset) *snapshot.Scope { return &data.Scope }
 
 // Canonicalize returns a shallow copy of the dataset with its retained
 // records in canonical (Slot, Seq) order — the order any watermark-sealed

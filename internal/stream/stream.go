@@ -21,10 +21,11 @@
 //     sequence is exactly the batch pass's record index order, so Finish
 //     returns Results bit-identical to report.AnalyzeN at every Workers
 //     setting.
-//   - Collection-level aggregates (per-day counts, tip histograms,
-//     dedup) accumulate from the feed itself, mirroring
-//     collector.Dataset.Ingest; a replay of an already-collected dataset
-//     imports the dataset's own scope via SetScope instead.
+//   - The collection scope (per-day counts, tip histograms, totals)
+//     accumulates from the feed itself through snapshot.Scope.Add, the
+//     same code collector.Dataset.Ingest runs; a replay of an
+//     already-collected dataset imports the dataset's own scope via
+//     SetScope instead.
 //
 // Latency is measured per stage — ingest→seal and seal→verdict
 // histograms plus end-to-end detection latency — on the obs registry
@@ -37,14 +38,13 @@ import (
 	"sync"
 	"time"
 
-	"jitomev/internal/collector"
 	"jitomev/internal/core"
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
 	"jitomev/internal/parallel"
 	"jitomev/internal/report"
+	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
-	"jitomev/internal/stats"
 )
 
 // Config configures an Engine. The zero value is usable: all cores, a
@@ -189,14 +189,10 @@ type Engine struct {
 	retHead    int
 	sampleTick uint64 // latency-sampling cursor
 
-	// Live scope accumulation, mirroring collector.Dataset.Ingest.
-	days       map[int]*collector.DayAgg
-	tips1      *stats.LogHistogram
-	tips3      *stats.LogHistogram
-	collected  uint64
-	duplicates uint64
-	len3Count  uint64
-	scope      *report.Scope // imported via SetScope; nil = live scope
+	// scope accumulates from the feed until SetScope imports one, after
+	// which the feed no longer touches it. acc reads it at Finish.
+	scope    snapshot.Scope
+	imported bool
 
 	// pool detects sealed slots and folds them in seal order.
 	pool *parallel.Ordered[*slotJob, *slotJob]
@@ -231,13 +227,11 @@ func New(cfg Config) *Engine {
 		cfg:     cfg,
 		reg:     reg,
 		tracer:  reg.TracerAttached(),
-		acc:     report.NewLiveAccumulator(cfg.Detector, cfg.SOLPriceUSD, cfg.Clock),
 		pending: make(map[solana.Slot]*slotJob),
 		ids:     make(map[jito.BundleID]struct{}),
-		days:    make(map[int]*collector.DayAgg),
-		tips1:   stats.NewTipHistogram(),
-		tips3:   stats.NewTipHistogram(),
+		scope:   snapshot.NewScope(cfg.Clock),
 	}
+	e.acc = report.NewAccumulator(cfg.Detector, cfg.SOLPriceUSD, &e.scope)
 	e.pool = parallel.NewOrdered(cfg.Workers, e.detect, e.fold)
 
 	reg.Help("stream_events_total", "Bundle events offered to the streaming detector.")
@@ -304,7 +298,9 @@ func (e *Engine) Offer(ev Event) {
 		}
 	}
 	if _, dup := e.ids[ev.Rec.ID]; dup {
-		e.duplicates++
+		if !e.imported {
+			e.scope.Duplicates++
+		}
 		e.cDup.Inc()
 		return
 	}
@@ -337,7 +333,9 @@ func (e *Engine) Offer(ev Event) {
 	}
 	job.events = append(job.events, ev)
 
-	e.ingestScope(&ev.Rec)
+	if !e.imported {
+		e.scope.Add(&ev.Rec)
+	}
 
 	if !e.headSet || slot > e.head {
 		e.head, e.headSet = slot, true
@@ -368,48 +366,13 @@ func (e *Engine) Advance(head solana.Slot) {
 	}
 }
 
-// ingestScope mirrors collector.Dataset.Ingest's aggregation (sans
-// record retention): per-day counts, defensive/priority split, tip
-// histograms. Skipped entirely once SetScope imported an external scope.
-func (e *Engine) ingestScope(rec *jito.BundleRecord) {
-	if e.scope != nil {
-		return
-	}
-	e.collected++
-	n := rec.NumTxs()
-	day := e.cfg.Clock.DayOf(rec.Slot)
-	agg, ok := e.days[day]
-	if !ok {
-		agg = &collector.DayAgg{}
-		e.days[day] = agg
-	}
-	agg.Bundles++
-	agg.Txs += uint64(n)
-	if n <= jito.MaxBundleTxs {
-		agg.ByLength[n]++
-	}
-	switch n {
-	case 1:
-		e.tips1.Add(float64(rec.TipLamps))
-		if rec.Tip() <= solana.DefensiveTipCeiling {
-			agg.DefensiveCount++
-			agg.DefensiveSpend += rec.TipLamps
-		} else {
-			agg.PriorityCount++
-		}
-	case 3:
-		e.tips3.Add(float64(rec.TipLamps))
-		e.len3Count++
-	}
-}
-
-// SetScope imports an externally computed Scope — a replayed dataset's
-// own aggregates — overriding everything the feed accumulated. Call any
-// time before Finish.
-func (e *Engine) SetScope(sc report.Scope) {
+// SetScope imports an externally computed scope — a replayed dataset's
+// own aggregates — replacing everything the feed accumulated; the feed
+// adds nothing to it afterwards. Call any time before Finish.
+func (e *Engine) SetScope(sc *snapshot.Scope) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.scope = &sc
+	e.scope, e.imported = *sc, true
 }
 
 // sealThrough seals every pending slot ≤ w, ascending, and expires dedup
@@ -564,9 +527,9 @@ func (e *Engine) fold(job *slotJob) {
 	jobPool.Put(job)
 }
 
-// Finish seals every pending slot, drains the fold, seeds the scope and
-// returns the completed Results — bit-identical to report.AnalyzeN over
-// the same records in canonical order. Call exactly once.
+// Finish seals every pending slot, drains the fold and returns the
+// completed Results — bit-identical to report.AnalyzeN over the same
+// records in canonical order. Call exactly once.
 func (e *Engine) Finish() *report.Results {
 	e.mu.Lock()
 	if e.finished {
@@ -589,28 +552,10 @@ func (e *Engine) Finish() *report.Results {
 	e.mu.Unlock()
 
 	e.pool.Close()
-	sc := e.liveScope()
-	if e.scope != nil {
-		sc = *e.scope
-	}
-	e.acc.SeedScope(sc)
 	// The batch pass publishes the detect_* counters when it runs on the
 	// same registry; the stream publishes only its own family (the fold
 	// already counted verdicts) to keep shared-registry runs additive.
 	return e.acc.Finish(nil)
-}
-
-// liveScope packages the feed-accumulated aggregates.
-func (e *Engine) liveScope() report.Scope {
-	return report.Scope{
-		Clock:       e.cfg.Clock,
-		Days:        e.days,
-		TipsLen1:    e.tips1,
-		TipsLen3:    e.tips3,
-		Collected:   e.collected,
-		Duplicates:  e.duplicates,
-		Len3Bundles: e.len3Count,
-	}
 }
 
 // Summary snapshots the engine's counters and latency percentiles.

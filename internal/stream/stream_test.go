@@ -35,33 +35,85 @@ type feedFixture struct {
 }
 
 var (
-	feedOnce sync.Once
-	feed     feedFixture
+	feedOnce, denseOnce sync.Once
+	feed, denseFeed     feedFixture
 )
 
-// buildFeed taps a study's accepted-bundle stream directly — no
+// buildFeed taps a six-day study's accepted-bundle stream directly — no
 // collector in between, so the dataset and the feed cover the exact
-// same records and the duplicate count (zero) matches too.
+// same records and the duplicate count (zero) matches too. Its bundles
+// sit more than 15 slots apart, so no delay within a lag the tests use
+// reorders deliveries across slots.
 func buildFeed(t testing.TB) feedFixture {
 	t.Helper()
 	feedOnce.Do(func() {
-		st := workload.New(workload.Params{Seed: 11, Days: 6, Scale: 20_000})
-		data := collector.NewDataset(st.P.Clock(), 1024)
-		data.RetainLengths(4, 5)
-		var events []stream.Event
-		st.Run(workload.SinkFunc(func(day int, acc *jito.Accepted) {
-			data.Ingest(acc.Record)
-			switch acc.Record.NumTxs() {
-			case 3, 4, 5:
-				for _, d := range acc.Details {
-					data.Details.Put(d)
-				}
-			}
-			events = append(events, stream.Event{Rec: acc.Record, Details: acc.Details})
-		}))
-		feed = feedFixture{clock: st.P.Clock(), events: events, data: data}
+		feed = captureFeed(workload.Params{Seed: 11, Days: 6, Scale: 20_000}, 1)
 	})
 	return feed
+}
+
+// buildDenseFeed taps a one-day study at ten times the density: bundles
+// land 4–15 slots apart thousands of times (Jito leaders hold four-slot
+// windows), so delays within the lag carry deliveries past later slots
+// and the watermark decides what is late. No two length-3 bundles share
+// a slot in the study, so every 32 consecutive ones are crowded into the
+// first one's slot; the 192 of them make six such slots for its eight
+// sandwiches, so some slot holds two, and the seal's canonical order
+// decides the order their verdicts fold in.
+func buildDenseFeed(t testing.TB) feedFixture {
+	t.Helper()
+	denseOnce.Do(func() {
+		denseFeed = captureFeed(workload.Params{Seed: 11, Days: 1, Scale: 2_000}, 32)
+	})
+	return denseFeed
+}
+
+// feeds names both fixtures for the tests that run over each.
+func feeds(t testing.TB) []struct {
+	name string
+	fx   feedFixture
+} {
+	return []struct {
+		name string
+		fx   feedFixture
+	}{{"sparse", buildFeed(t)}, {"dense", buildDenseFeed(t)}}
+}
+
+// captureFeed runs the study, moves each group of crowd consecutive
+// length-3 bundles into the slot of the group's first (crowd 1 moves
+// none), and returns the events in canonical (Slot, Seq) order with the
+// dataset a collector would have built from them.
+func captureFeed(p workload.Params, crowd int) feedFixture {
+	st := workload.New(p)
+	var events []stream.Event
+	var groupSlot solana.Slot
+	len3 := 0
+	st.Run(workload.SinkFunc(func(day int, acc *jito.Accepted) {
+		ev := stream.Event{Rec: acc.Record, Details: acc.Details}
+		if ev.Rec.NumTxs() == 3 {
+			if len3%crowd == 0 {
+				groupSlot = ev.Rec.Slot
+			}
+			ev.Rec.Slot = groupSlot
+			len3++
+		}
+		events = append(events, ev)
+	}))
+	slices.SortStableFunc(events, func(a, b stream.Event) int {
+		return cmp.Or(cmp.Compare(a.Rec.Slot, b.Rec.Slot), cmp.Compare(a.Rec.Seq, b.Rec.Seq))
+	})
+	data := collector.NewDataset(st.P.Clock(), 1024)
+	data.RetainLengths(4, 5)
+	for _, ev := range events {
+		data.Ingest(ev.Rec)
+		switch ev.Rec.NumTxs() {
+		case 3, 4, 5:
+			for _, d := range ev.Details {
+				data.Details.Put(d)
+			}
+		}
+	}
+	return feedFixture{clock: st.P.Clock(), events: events, data: data}
 }
 
 func diffResults(t *testing.T, ref, got *report.Results) {
@@ -126,14 +178,26 @@ func deliverPlanned(events []stream.Event, plan func(i int) (delay, replays int)
 	type keyed struct {
 		ev      stream.Event
 		slot    solana.Slot // delivery slot: actual slot + planned delay
+		late    bool        // delay > 0: lands behind the delivery slot's on-time events
 		replays int
 	}
 	out := make([]keyed, len(events))
 	for i, ev := range events {
 		delay, replays := plan(i)
-		out[i] = keyed{ev: ev, slot: ev.Rec.Slot + solana.Slot(delay), replays: replays}
+		out[i] = keyed{ev: ev, slot: ev.Rec.Slot + solana.Slot(delay), late: delay > 0, replays: replays}
 	}
-	slices.SortStableFunc(out, func(a, b keyed) int { return cmp.Compare(a.slot, b.slot) })
+	slices.SortStableFunc(out, func(a, b keyed) int {
+		if c := cmp.Compare(a.slot, b.slot); c != 0 {
+			return c
+		}
+		switch {
+		case a.late == b.late:
+			return 0
+		case b.late:
+			return -1
+		}
+		return 1
+	})
 	delivered := make([]stream.Event, 0, len(out))
 	for _, k := range out {
 		for r := 0; r <= k.replays; r++ {
@@ -168,48 +232,56 @@ func batchReference(clock solana.Clock, delivered []stream.Event) (*report.Resul
 // deliveries — must still fold to the batch answer at every worker
 // count, with the duplicates counted rather than silently absorbed.
 func TestStreamMatchesBatchChaosFeed(t *testing.T) {
-	fx := buildFeed(t)
-	const lag = 8
-	delivered := scrambleFeed(fx.events, 4242, 0.10, lag-1)
-	dups := len(delivered) - len(fx.events)
-	if dups == 0 {
-		t.Fatal("chaos injected no duplicates")
-	}
-	ref, refDups := batchReference(fx.clock, delivered)
-	if refDups != uint64(dups) {
-		t.Fatalf("reference dedup caught %d duplicates, want %d", refDups, dups)
-	}
+	for _, f := range feeds(t) {
+		t.Run(f.name, func(t *testing.T) {
+			fx := f.fx
+			const lag = 8
+			delivered := scrambleFeed(fx.events, 4242, 0.10, lag-1)
+			dups := len(delivered) - len(fx.events)
+			if dups == 0 {
+				t.Fatal("chaos injected no duplicates")
+			}
+			ref, refDups := batchReference(fx.clock, delivered)
+			if refDups != uint64(dups) {
+				t.Fatalf("reference dedup caught %d duplicates, want %d", refDups, dups)
+			}
 
-	for _, w := range []int{1, 4, 8} {
-		eng := stream.New(stream.Config{Workers: w, LagSlots: lag, Extended: true, Clock: fx.clock})
-		for _, ev := range delivered {
-			eng.Offer(ev)
-		}
-		got := eng.Finish()
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d: chaos-fed Results differ from batch", w)
-			diffResults(t, ref, got)
-		}
-		s := eng.Summary()
-		if s.Late != 0 {
-			t.Errorf("workers=%d: %d events dropped late; delays within lag must be lossless", w, s.Late)
-		}
-		if s.Duplicates != uint64(dups) {
-			t.Errorf("workers=%d: duplicates %d, want %d", w, s.Duplicates, dups)
-		}
+			for _, w := range []int{1, 4, 8} {
+				eng := stream.New(stream.Config{Workers: w, LagSlots: lag, Extended: true, Clock: fx.clock})
+				for _, ev := range delivered {
+					eng.Offer(ev)
+				}
+				got := eng.Finish()
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("workers=%d: chaos-fed Results differ from batch", w)
+					diffResults(t, ref, got)
+				}
+				s := eng.Summary()
+				if s.Late != 0 {
+					t.Errorf("workers=%d: %d events dropped late; delays within lag must be lossless", w, s.Late)
+				}
+				if s.Duplicates != uint64(dups) {
+					t.Errorf("workers=%d: duplicates %d, want %d", w, s.Duplicates, dups)
+				}
+			}
+		})
 	}
 }
 
 // FuzzStreamMatchesBatch: any delivery plan the watermark can absorb —
 // delays of up to LagSlots-1 slots and duplicate deliveries — must fold
 // to the batch answer over the same deliveries, losing nothing and
-// counting exactly the duplicates the collector's dedup counts. Byte i
-// of plan schedules event i: a delay of plan[i] % lag slots, plus one
-// duplicate delivery when its high bit is set; events past the plan
-// stay on time. lag is clamped to 2..16.
+// counting exactly the duplicates the collector's dedup counts. dense
+// selects the dense feed over the sparse one. Byte i of plan schedules
+// event i: a delay of plan[i] % lag slots, plus one duplicate delivery
+// when its high bit is set; events past the plan stay on time. lag is
+// clamped to 2..16.
 func FuzzStreamMatchesBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, lag uint8, fourWorkers bool, plan []byte) {
+	f.Fuzz(func(t *testing.T, dense bool, lag uint8, fourWorkers bool, plan []byte) {
 		fx := buildFeed(t)
+		if dense {
+			fx = buildDenseFeed(t)
+		}
 		lag = min(max(lag, 2), 16)
 		workers := 1
 		if fourWorkers {
